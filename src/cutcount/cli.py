@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success (and on a verified match), 1 when verification
 finds a mismatch between the two face-count pipelines, 2 for usage,
-parse, or validation problems.
+parse, or validation problems, and 141 (what a shell reports for a process
+ended by SIGPIPE) when the reader closes standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -272,10 +274,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.cap < 0:
+            raise ParamError(f"--cap must be nonnegative, got {args.cap}")
+        code = args.func(args)
+        # small outputs are still buffered here; a closed pipe must fail now
+        sys.stdout.flush()
+        return code
     except CutcountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone (`| head`); point stdout at the null device so
+        # the interpreter's own flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

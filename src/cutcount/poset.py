@@ -50,6 +50,10 @@ class Semilattice:
     closure applied. :func:`validate_semilattice` returns a closed, checked
     copy; operations refuse raw input. Validated instances are immutable
     apart from an internal Möbius memo and safe to share between workers.
+
+    The order is stored as bitmask rows: bit i of a row stands for the i-th
+    flat in (rank, id) order, so walking a row's bits visits its flats in
+    that order.
     """
 
     def __init__(self, ambient_dim: int, flats: Iterable[Flat], leq_pairs) -> None:
@@ -62,12 +66,12 @@ class Semilattice:
                 raise ValueError(f"duplicate flat id {f.id}")
             self.flats[f.id] = f
         self._ids = tuple(sorted(self.flats))
-        self._pos = {fid: i for i, fid in enumerate(self._ids)}
+        self._rank_order = tuple(sorted(self._ids, key=lambda fid: (-self.flats[fid].dim, fid)))
+        self._pos = {fid: i for i, fid in enumerate(self._rank_order)}
         self.leq_pairs = tuple((a, b) for a, b in leq_pairs)
         self.validated = False
         self._below: dict[int, int] = {}
         self._above: dict[int, int] = {}
-        self._rank_order: tuple[int, ...] = ()
         self._minimum: int | None = None
         self._mu_rows: dict[int, dict[int, int]] = {}
 
@@ -109,16 +113,14 @@ class Semilattice:
         """Ids of flats y >= x, ordered by (rank, id)."""
         self._require_validated()
         self._require_known(x)
-        mask = self._above[x]
-        return [y for y in self._rank_order if mask >> self._pos[y] & 1]
+        return [self._rank_order[i] for i in _bits(self._above[x])]
 
     def interval(self, x: int, y: int) -> list[int]:
         """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
         self._require_validated()
         self._require_known(x)
         self._require_known(y)
-        mask = self._above[x] & self._below[y]
-        return [z for z in self._rank_order if mask >> self._pos[z] & 1]
+        return [self._rank_order[i] for i in _bits(self._above[x] & self._below[y])]
 
 
 def validate_semilattice(candidate: Semilattice) -> Semilattice:
@@ -129,6 +131,11 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
     decreasing dimensions along the order, and a greatest lower bound for
     every pair of flats. Raises NoMinimum, NotAPartialOrder, MissingMeet,
     RankViolation, or UnknownFlat accordingly.
+
+    The common lower bounds of a and b form the row below[a] & below[b]. A
+    greatest one exists exactly when that row is itself the principal down-set
+    below[c] of some flat c (which then lies in it), so each pair costs one
+    set lookup among the principal down-sets.
     """
     L = candidate
     if not L.flats:
@@ -139,6 +146,7 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
             raise RankViolation(f"flat {f.id} has dimension {f.dim} outside 0..{n}")
 
     ids = L._ids
+    order = L._rank_order
     pos = L._pos
     below = {fid: 1 << pos[fid] for fid in ids}
     for a, b in L.leq_pairs:
@@ -155,14 +163,14 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
         for y in ids:
             acc = below[y]
             for i in _bits(acc):
-                acc |= below[ids[i]]
+                acc |= below[order[i]]
             if acc != below[y]:
                 below[y] = acc
                 changed = True
 
     for y in ids:
         for i in _bits(below[y]):
-            x = ids[i]
+            x = order[i]
             if x != y and below[x] >> pos[y] & 1:
                 raise NotAPartialOrder(f"flats {x} and {y} are mutually comparable")
 
@@ -170,7 +178,7 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
     for y in ids:
         ybit = 1 << pos[y]
         for i in _bits(below[y]):
-            above[ids[i]] |= ybit
+            above[order[i]] |= ybit
 
     full = (1 << len(ids)) - 1
     minima = [x for x in ids if above[x] == full]
@@ -185,26 +193,26 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
     for y in ids:
         dim_y = L.flats[y].dim
         for i in _bits(below[y]):
-            x = ids[i]
+            x = order[i]
             if x != y and L.flats[x].dim <= dim_y:
                 raise RankViolation(
                     f"flat {x} < flat {y} but dimensions are {L.flats[x].dim} <= {dim_y}"
                 )
 
+    principal = set(below.values())
     for idx, a in enumerate(ids):
+        below_a = below[a]
         for b in ids[idx + 1:]:
-            lower = below[a] & below[b]
-            if not any(below[ids[i]] == lower for i in _bits(lower)):
+            if below_a & below[b] not in principal:
                 raise MissingMeet(f"flats {a} and {b} have no greatest lower bound")
 
     closed_pairs = sorted(
-        (ids[i], y) for y in ids for i in _bits(below[y]) if ids[i] != y
+        (order[i], y) for y in ids for i in _bits(below[y]) if order[i] != y
     )
     out = Semilattice(n, [L.flats[fid] for fid in ids], closed_pairs)
     out._below = below
     out._above = above
     out._minimum = t
-    out._rank_order = tuple(sorted(ids, key=lambda fid: (n - L.flats[fid].dim, fid)))
     out.validated = True
     return out
 
@@ -215,18 +223,17 @@ def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
     if row is not None:
         return row
     row = {}
+    order = L._rank_order
     up = L._above[x]
-    for z in L._rank_order:
-        zpos = L._pos[z]
-        if not up >> zpos & 1:
-            continue
+    for zpos in _bits(up):
+        z = order[zpos]
         if z == x:
             row[z] = 1
             continue
         total = 0
         inner = (up & L._below[z]) & ~(1 << zpos)
         for i in _bits(inner):
-            total += row[L._ids[i]]
+            total += row[order[i]]
         row[z] = -total
     L._mu_rows[x] = row
     return row

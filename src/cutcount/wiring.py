@@ -96,9 +96,8 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     """Face counts (f0, f1, f2) by sweeping the diagram left to right.
 
     Vertices are the events; edges count, per wire, one segment more than
-    its crossings; regions are tracked explicitly: each of the n+1 slab
-    intervals carries a region identity, and an event of size k closes the
-    k-1 interior intervals and opens k-1 fresh identities.
+    its crossings; regions start as the n+1 slab intervals, and an event of
+    size k closes the k-1 interior intervals and opens k-1 fresh regions.
     """
     if not w.validated:
         raise ValueError("wiring diagram has not been validated")
@@ -110,13 +109,7 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
         for wire in g:
             per_wire[wire] += 1
     f1 = sum(c + 1 for c in per_wire)
-    regions = list(range(n + 1))
-    next_region = n + 1
-    for e in w.events:
-        for gap in range(e.top + 1, e.top + e.size):
-            regions[gap] = next_region
-            next_region += 1
-    f2 = next_region
+    f2 = n + 1 + sum(len(g) - 1 for g in groups)
     if f0 - f1 + f2 != 1:
         raise RuntimeError(f"sweep produced f = ({f0}, {f1}, {f2}), which fails f0 - f1 + f2 = 1")
     return f0, f1, f2

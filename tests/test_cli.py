@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run through the installed module."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -68,6 +69,12 @@ class TestFaces:
     def test_cap_flag(self, fixture_path):
         assert run("--cap", "2", "faces", fixture_path("generic3.json")).returncode == 2
         assert run("--cap", "3", "faces", fixture_path("generic3.json")).returncode == 0
+
+    def test_negative_cap_rejected(self, fixture_path):
+        proc = run("--cap", "-1", "faces", fixture_path("axes.json"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --cap must be nonnegative, got -1\n"
 
 
 class TestVerify:
@@ -167,3 +174,24 @@ class TestBadInput:
 
     def test_no_command(self):
         assert run().returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    # larger than a pipe buffer, so the write fails inside the command
+    ("gen", "--kind", "wiring", "--seed", "1", "--wires", "200"),
+    # small enough to sit in the buffer until the final flush
+    ("mobius", "axes.json"),
+])
+def test_closed_stdout_exits_quietly(fixture_path, args):
+    args = [fixture_path(a) if a.endswith(".json") else a for a in args]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutcount", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

@@ -3,18 +3,22 @@
 from fractions import Fraction as F
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
 from cutcount.faces import chambers, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
     BiPolynomial,
+    Flat,
+    Semilattice,
     chamber_count,
     f_from_mobius,
     f_vector_from_semilattice,
     mobius,
     mobius_polynomial,
+    validate_semilattice,
 )
 from cutcount.wiring import (
     CrossingEvent,
@@ -181,3 +185,82 @@ def test_mobius_recursion_on_wiring_lattices(w):
 def test_bipolynomial_json_round_trip(terms):
     p = BiPolynomial(terms)
     assert BiPolynomial.from_json(p.to_json()) == p
+
+
+@st.composite
+def relations(draw):
+    """(ambient, dims, pairs) on 1-7 flats: mostly ranked orders with flat 0
+    at the bottom, mixed with cycles, rank clashes, extra minima and pairs
+    of flats without a meet."""
+    size = draw(st.integers(1, 7))
+    ambient = draw(st.integers(0, 3))
+    dims = [ambient] + [draw(st.integers(0, max(ambient - 1, 0))) for _ in range(size - 1)]
+    pairs = []
+    for b in range(1, size):
+        pairs += [(a, b) for a in range(size) if dims[a] > dims[b] and draw(st.booleans())]
+    if draw(st.integers(0, 3)) == 0:
+        flat = st.integers(0, size - 1)
+        pairs += draw(st.lists(st.tuples(flat, flat), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)) > 0:
+        pairs += [(0, b) for b in range(1, size)]
+    return ambient, dims, pairs
+
+
+def brute_order(size, pairs):
+    """Reflexive-transitive closure as a set of (lower, upper) pairs."""
+    leq = {(a, a) for a in range(size)} | set(pairs)
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                if (i, k) in leq and (k, j) in leq:
+                    leq.add((i, j))
+    return leq
+
+
+@given(relations())
+# two points on the same two lines: the points have no meet
+@example((2, [2, 1, 1, 0, 0], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
+@settings(max_examples=600, deadline=None)
+def test_validation_and_mobius_match_brute_force(relation):
+    ambient, dims, pairs = relation
+    size = len(dims)
+    flats = range(size)
+    leq = brute_order(size, pairs)
+    ordered = all(
+        a == b or ((b, a) not in leq and dims[a] > dims[b]) for a, b in leq
+    )
+    bottoms = [m for m in flats if all((m, z) in leq for z in flats)]
+    other_checks_pass = ordered and len(bottoms) == 1 and dims[bottoms[0]] == ambient
+
+    def has_meet(a, b):
+        lower = [c for c in flats if (c, a) in leq and (c, b) in leq]
+        return any(all((c, g) in leq for c in lower) for g in lower)
+
+    meets = all(has_meet(a, b) for a in flats for b in flats)
+    candidate = Semilattice(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
+    try:
+        L = validate_semilattice(candidate)
+    except MissingMeet:
+        assert other_checks_pass and not meets
+        return
+    except (NoMinimum, NotAPartialOrder, RankViolation):
+        assert not other_checks_pass
+        return
+    assert other_checks_pass and meets
+
+    def by_rank(zs):
+        return sorted(zs, key=lambda z: (ambient - dims[z], z))
+
+    mu = {}
+    for x in flats:
+        assert L.above(x) == by_rank(z for z in flats if (x, z) in leq)
+        for y in by_rank(flats):
+            interval = by_rank(z for z in flats if (x, z) in leq and (z, y) in leq)
+            assert L.interval(x, y) == interval
+            if x == y:
+                mu[x, y] = 1
+            elif (x, y) in leq:
+                mu[x, y] = -sum(mu[x, z] for z in interval if z != y)
+            else:
+                mu[x, y] = 0
+            assert mobius(L, x, y) == mu[x, y]
