@@ -1,11 +1,18 @@
 """End-to-end command-line behavior, run through the installed module."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from cutcount import cli
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
 
 
 def run(*args, **kwargs):
@@ -13,6 +20,27 @@ def run(*args, **kwargs):
         [sys.executable, "-m", "cutcount", *args],
         capture_output=True, text=True, **kwargs,
     )
+
+
+def run_in_process(argv):
+    """Call cli.main directly; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_transcript(monkeypatch, case):
+    # every fixture x {mobius, fpoly, faces, verify, verify --json}, recorded
+    # from the command line with the fixture directory as working directory
+    expected = GOLDEN[case]
+    monkeypatch.chdir(pathlib.Path(__file__).parent / "fixtures")
+    code, out, err = run_in_process(expected["argv"])
+    assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"])
 
 
 class TestMobius:
