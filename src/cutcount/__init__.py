@@ -42,14 +42,12 @@ from .faces import (
 from .poset import (
     BiPolynomial,
     Flat,
-    MobiusTable,
     Semilattice,
     chamber_count,
     f_from_mobius,
     f_vector_from_semilattice,
     mobius,
     mobius_polynomial,
-    mobius_table,
     semilattice_from_json,
     semilattice_to_json,
     upper_set,

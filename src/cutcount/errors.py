@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON type check the
+document loaders share."""
 
 
 class CutcountError(Exception):
@@ -65,6 +66,15 @@ class RepeatedCrossing(CutcountError):
 
 class ParseError(CutcountError):
     """An input document is malformed."""
+
+
+def json_field(value, kind: type, what: str):
+    """`value` when its JSON type is exactly `kind`, int or list; ParseError
+    otherwise, so nothing is coerced: `true` and `3.9` are not integers."""
+    if type(value) is not kind:
+        noun = "an integer" if kind is int else "a list"
+        raise ParseError(f"{what} must be {noun}, got {value!r}")
+    return value
 
 
 class UnsupportedKind(CutcountError):

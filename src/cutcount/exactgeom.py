@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DuplicateHyperplane, FlatNotInLattice, ParseError
+from .errors import DuplicateHyperplane, FlatNotInLattice, ParseError, json_field
 from .poset import Flat, Semilattice, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -187,7 +187,7 @@ def build_lattice(A: Arrangement) -> Semilattice:
         if not all(_contains(hi.equations, list(eq)) for eq in lo.equations):
             raise RuntimeError("support order disagrees with equation spans")
         pairs.append((li, hj))
-    return validate_semilattice(Semilattice(n, flats, pairs))
+    return validate_semilattice(n, flats, pairs)
 
 
 def flat_parametrization(
@@ -233,7 +233,7 @@ def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
         raise FlatNotInLattice(f"no flat of the arrangement has equations {X.equations}")
     if X.dim == 0:
         only = Flat(0, 0, frozenset(), X)
-        return validate_semilattice(Semilattice(0, [only], []))
+        return validate_semilattice(0, [only], [])
     x0, basis = flat_parametrization(X.equations, A.ambient_dim)
     projected: list[Hyperplane] = []
     seen = set()
@@ -254,14 +254,14 @@ def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
 def arrangement_from_json(doc: dict) -> Arrangement:
     """Build an Arrangement from its JSON document form."""
     try:
-        n = int(doc["ambient_dim"])
-        raw = doc["hyperplanes"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = json_field(doc["ambient_dim"], int, "ambient_dim")
+        raw = json_field(doc["hyperplanes"], list, "hyperplanes")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed arrangement document: {exc}") from exc
     planes = []
     for item in raw:
         try:
-            normal = tuple(parse_rational(v) for v in item["normal"])
+            normal = tuple(parse_rational(v) for v in json_field(item["normal"], list, "normal"))
             offset = parse_rational(item["offset"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed hyperplane entry: {item!r}") from exc

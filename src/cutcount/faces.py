@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, DimensionMismatch
-from .exactgeom import Arrangement, build_lattice, flat_parametrization, intersect
+from .exactgeom import Arrangement, _dot, build_lattice, flat_parametrization, intersect
 from .poset import Semilattice
 
 DEFAULT_CAP = 12
@@ -74,10 +74,6 @@ def _strict_feasible(rows: list[tuple[tuple[Fraction, ...], Fraction]], nvars: i
         if live is None:
             return False
     return not live
-
-
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 class _Feasibility:

@@ -2,8 +2,9 @@
 invariants derived from them.
 
 Flats are ordered by reverse inclusion, so the whole space is the unique
-minimum and points sit at the top. Everything downstream (Möbius polynomial,
-face polynomial, chamber count) is computed from this order alone.
+minimum and points sit at the top. Every semilattice is built, closed and
+checked by :func:`validate_semilattice`. Everything downstream is computed
+from this order alone; every face count is read off the Möbius polynomial.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     NotAPartialOrder,
     RankViolation,
     UnknownFlat,
+    json_field,
 )
 
 
@@ -46,42 +48,34 @@ def _bits(mask: int):
 class Semilattice:
     """Finite meet-semilattice of flats over an ambient dimension.
 
-    Instances start raw: `leq_pairs` is the relation as given, with no
-    closure applied. :func:`validate_semilattice` returns a closed, checked
-    copy; operations refuse raw input. Validated instances are immutable
-    apart from an internal Möbius memo and safe to share between workers.
+    Only :func:`validate_semilattice` calls this constructor, with the
+    closed and checked order. Instances are immutable apart from an
+    internal Möbius memo and safe to share between workers.
 
     The order is stored as bitmask rows: bit i of a row stands for the i-th
-    flat in (rank, id) order, so walking a row's bits visits its flats in
-    that order.
+    id of `order`, which lists the flats in (rank, id) order, so walking a
+    row's bits visits its flats in that order. `below[y]` is the principal
+    down-set of y and `above[x]` the principal up-set of x.
     """
 
-    def __init__(self, ambient_dim: int, flats: Iterable[Flat], leq_pairs) -> None:
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
+    def __init__(
+        self, ambient_dim: int, flats: dict, order: tuple, below: dict, above: dict
+    ) -> None:
         self.ambient_dim = ambient_dim
-        self.flats: dict[int, Flat] = {}
-        for f in flats:
-            if f.id in self.flats:
-                raise ValueError(f"duplicate flat id {f.id}")
-            self.flats[f.id] = f
-        self._ids = tuple(sorted(self.flats))
-        self._rank_order = tuple(sorted(self._ids, key=lambda fid: (-self.flats[fid].dim, fid)))
-        self._pos = {fid: i for i, fid in enumerate(self._rank_order)}
-        self.leq_pairs = tuple((a, b) for a, b in leq_pairs)
-        self.validated = False
-        self._below: dict[int, int] = {}
-        self._above: dict[int, int] = {}
-        self._minimum: int | None = None
+        self.flats: dict[int, Flat] = flats
+        # only the minimum has the ambient dimension, so it comes first
+        self.minimum = order[0]
+        # largest rank present (may be smaller than the ambient dimension)
+        self.rank = max(ambient_dim - f.dim for f in flats.values())
+        self._ids = tuple(sorted(flats))
+        self._rank_order = order
+        self._below = below
+        self._above = above
         self._mu_rows: dict[int, dict[int, int]] = {}
 
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
         return self._ids
-
-    def _require_validated(self) -> None:
-        if not self.validated:
-            raise ValueError("semilattice has not been validated")
 
     def _require_known(self, x: int) -> None:
         if x not in self.flats:
@@ -89,43 +83,33 @@ class Semilattice:
 
     def leq(self, x: int, y: int) -> bool:
         """True when x <= y, i.e. flat y is contained in flat x."""
-        self._require_validated()
         self._require_known(x)
         self._require_known(y)
-        return bool(self._below[y] >> self._pos[x] & 1)
+        # x itself lies in the interval [x, y] exactly when x <= y
+        return bool(self._above[x] & self._below[y])
 
     def rank_of(self, x: int) -> int:
         self._require_known(x)
         return self.ambient_dim - self.flats[x].dim
 
-    @property
-    def rank(self) -> int:
-        """Largest rank present (may be smaller than the ambient dimension)."""
-        return max(self.ambient_dim - f.dim for f in self.flats.values())
-
-    @property
-    def minimum(self) -> int:
-        self._require_validated()
-        assert self._minimum is not None
-        return self._minimum
-
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
-        self._require_validated()
         self._require_known(x)
         return [self._rank_order[i] for i in _bits(self._above[x])]
 
     def interval(self, x: int, y: int) -> list[int]:
         """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
-        self._require_validated()
         self._require_known(x)
         self._require_known(y)
         return [self._rank_order[i] for i in _bits(self._above[x] & self._below[y])]
 
 
-def validate_semilattice(candidate: Semilattice) -> Semilattice:
-    """Check the order axioms and return a closed, rank-checked copy.
+def validate_semilattice(
+    ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]
+) -> Semilattice:
+    """The semilattice of `flats` ordered by `pairs` (a, b), each a <= b.
 
+    Raises ValueError on a negative ambient dimension or a repeated flat id.
     Applies the reflexive-transitive closure of the given pairs, then
     confirms antisymmetry, a unique minimum of full dimension, strictly
     decreasing dimensions along the order, and a greatest lower bound for
@@ -137,23 +121,27 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
     below[c] of some flat c (which then lies in it), so each pair costs one
     set lookup among the principal down-sets.
     """
-    L = candidate
-    if not L.flats:
-        raise NoMinimum("a semilattice needs at least one flat")
-    n = L.ambient_dim
-    for f in L.flats.values():
+    n = ambient_dim
+    if n < 0:
+        raise ValueError("ambient dimension must be nonnegative")
+    by_id: dict[int, Flat] = {}
+    for f in flats:
+        if f.id in by_id:
+            raise ValueError(f"duplicate flat id {f.id}")
         if not 0 <= f.dim <= n:
             raise RankViolation(f"flat {f.id} has dimension {f.dim} outside 0..{n}")
+        by_id[f.id] = f
+    if not by_id:
+        raise NoMinimum("a semilattice needs at least one flat")
 
-    ids = L._ids
-    order = L._rank_order
-    pos = L._pos
+    ids = tuple(sorted(by_id))
+    order = tuple(sorted(ids, key=lambda fid: (-by_id[fid].dim, fid)))
+    pos = {fid: i for i, fid in enumerate(order)}
     below = {fid: 1 << pos[fid] for fid in ids}
-    for a, b in L.leq_pairs:
-        if a not in L.flats:
-            raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a}")
-        if b not in L.flats:
-            raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {b}")
+    for a, b in pairs:
+        for c in (a, b):
+            if c not in by_id:
+                raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {c}")
         below[b] |= 1 << pos[a]
 
     # reflexive-transitive closure over the bitmask rows
@@ -185,18 +173,18 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
     if not minima:
         raise NoMinimum("no flat lies below every other flat")
     t = minima[0]
-    if L.flats[t].dim != n:
+    if by_id[t].dim != n:
         raise RankViolation(
-            f"minimum flat {t} has dimension {L.flats[t].dim}, expected the ambient {n}"
+            f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
     for y in ids:
-        dim_y = L.flats[y].dim
+        dim_y = by_id[y].dim
         for i in _bits(below[y]):
             x = order[i]
-            if x != y and L.flats[x].dim <= dim_y:
+            if x != y and by_id[x].dim <= dim_y:
                 raise RankViolation(
-                    f"flat {x} < flat {y} but dimensions are {L.flats[x].dim} <= {dim_y}"
+                    f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}"
                 )
 
     principal = set(below.values())
@@ -206,15 +194,13 @@ def validate_semilattice(candidate: Semilattice) -> Semilattice:
             if below_a & below[b] not in principal:
                 raise MissingMeet(f"flats {a} and {b} have no greatest lower bound")
 
-    closed_pairs = sorted(
-        (order[i], y) for y in ids for i in _bits(below[y]) if order[i] != y
-    )
-    out = Semilattice(n, [L.flats[fid] for fid in ids], closed_pairs)
-    out._below = below
-    out._above = above
-    out._minimum = t
-    out.validated = True
-    return out
+    return Semilattice(n, by_id, order, below, above)
+
+
+def _strict_pairs(L: Semilattice) -> list[tuple[int, int]]:
+    # every (a, b) with a < b, read off the principal down-set rows
+    order = L._rank_order
+    return [(order[i], y) for y in L._ids for i in _bits(L._below[y]) if order[i] != y]
 
 
 def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
@@ -241,32 +227,9 @@ def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
 
 def mobius(L: Semilattice, x: int, y: int) -> int:
     """Möbius value mu(x, y); zero when x is not below y."""
-    L._require_validated()
-    L._require_known(x)
-    L._require_known(y)
-    if not (L._below[y] >> L._pos[x] & 1):
+    if not L.leq(x, y):
         return 0
     return _mu_row(L, x)[y]
-
-
-class MobiusTable:
-    """Möbius values for every comparable pair; incomparable pairs read 0."""
-
-    def __init__(self, entries: dict[tuple[int, int], int]) -> None:
-        self.entries = dict(entries)
-
-    def value(self, x: int, y: int) -> int:
-        return self.entries.get((x, y), 0)
-
-
-def mobius_table(L: Semilattice) -> MobiusTable:
-    """The full memo table, computed for all comparable pairs."""
-    L._require_validated()
-    entries = {}
-    for x in L.ids():
-        for z, v in _mu_row(L, x).items():
-            entries[(x, z)] = v
-    return MobiusTable(entries)
 
 
 class BiPolynomial:
@@ -346,7 +309,6 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     Incomparable pairs contribute zero; the y-exponent is normalized by the
     largest rank actually present, not the ambient dimension.
     """
-    L._require_validated()
     rk_arr = L.rank
     terms: dict[tuple[int, int], int] = {}
     for x in L.ids():
@@ -381,29 +343,17 @@ def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:
 def f_vector_from_semilattice(L: Semilattice) -> list[int]:
     """Face counts (f_0, ..., f_n) read off the semilattice alone.
 
-    f_i sums, over flats X of dimension i, the signed Möbius values
-    (-1)^(rk X - rk Y) mu(X, Y) for Y above X, which is the chamber count
-    of the restriction to X.
+    f_i is the coefficient of x^(n - i) in f_from_mobius(mobius_polynomial(L),
+    L.rank), so a negative count raises NegativeCoefficient here too.
     """
-    L._require_validated()
-    f = [0] * (L.ambient_dim + 1)
-    for x in L.ids():
-        rx = L.rank_of(x)
-        total = 0
-        for z, v in _mu_row(L, x).items():
-            total += v if (L.rank_of(z) - rx) % 2 == 0 else -v
-        f[L.flats[x].dim] += total
-    return f
+    f = f_from_mobius(mobius_polynomial(L), L.rank)
+    n = L.ambient_dim
+    return [f.coefficient(n - i) for i in range(n + 1)]
 
 
 def chamber_count(L: Semilattice) -> int:
-    """Number of full-dimensional cells: sum of (-1)^rk(X) mu(min, X)."""
-    L._require_validated()
-    row = _mu_row(L, L.minimum)
-    total = 0
-    for z, v in row.items():
-        total += v if L.rank_of(z) % 2 == 0 else -v
-    return total
+    """Number of full-dimensional cells: the last entry of the f-vector."""
+    return f_vector_from_semilattice(L)[-1]
 
 
 def upper_set(L: Semilattice, x: int) -> Semilattice:
@@ -413,7 +363,6 @@ def upper_set(L: Semilattice, x: int) -> Semilattice:
     dim(x) - dim(y). Supports are remapped relative to the new root
     (elements containing x are dropped); upper_set(L, minimum) is L itself.
     """
-    L._require_validated()
     L._require_known(x)
     if x == L.minimum:
         return L
@@ -426,20 +375,26 @@ def upper_set(L: Semilattice, x: int) -> Semilattice:
         if support is not None and root.support is not None:
             support = frozenset(support - root.support)
         new_flats.append(Flat(fy.id, fy.dim, support, fy.payload))
-    kept = set(keep)
-    pairs = [(a, b) for a, b in L.leq_pairs if a in kept and b in kept]
-    return validate_semilattice(Semilattice(root.dim, new_flats, pairs))
+    # keep is an up-set, so it holds b whenever it holds some a <= b
+    pairs = [(a, b) for a, b in _strict_pairs(L) if L.leq(x, a)]
+    return validate_semilattice(root.dim, new_flats, pairs)
 
 
 def semilattice_from_json(doc: dict) -> Semilattice:
     """Build and validate a semilattice from its JSON document form."""
-    flats = [Flat(int(item["id"]), int(item["dim"])) for item in doc["flats"]]
-    pairs = [(int(a), int(b)) for a, b in doc["leq"]]
-    return validate_semilattice(Semilattice(int(doc["ambient_dim"]), flats, pairs))
+    flats = [
+        Flat(json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim"))
+        for item in json_field(doc["flats"], list, "flats")
+    ]
+    pairs = [
+        tuple(json_field(v, int, "leq entry") for v in json_field(pair, list, "leq pair"))
+        for pair in json_field(doc["leq"], list, "leq")
+    ]
+    return validate_semilattice(json_field(doc["ambient_dim"], int, "ambient_dim"), flats, pairs)
 
 
 def semilattice_to_json(L: Semilattice) -> dict:
     """JSON document form; `leq` lists the full strict order, sorted."""
     flats = [{"id": fid, "dim": L.flats[fid].dim} for fid in L.ids()]
-    leq = sorted([a, b] for a, b in set(L.leq_pairs) if a != b)
+    leq = sorted([a, b] for a, b in _strict_pairs(L))
     return {"kind": "semilattice", "ambient_dim": L.ambient_dim, "flats": flats, "leq": leq}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import OutOfRange, RepeatedCrossing
+from .errors import OutOfRange, RepeatedCrossing, json_field
 from .poset import Flat, Semilattice, validate_semilattice
 
 
@@ -89,7 +89,7 @@ def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
         flats.append(Flat(pid, 0, frozenset(g)))
         pairs.append((0, pid))
         pairs += [(1 + wire, pid) for wire in g]
-    return validate_semilattice(Semilattice(2, flats, pairs))
+    return validate_semilattice(2, flats, pairs)
 
 
 def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
@@ -118,9 +118,10 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
 def wiring_from_json(doc: dict) -> WiringDiagram:
     """Build and validate a diagram from its JSON document form."""
     events = tuple(
-        CrossingEvent(int(e["top"]), int(e["size"])) for e in doc["events"]
+        CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size"))
+        for e in json_field(doc["events"], list, "events")
     )
-    return validate_wiring(WiringDiagram(int(doc["wires"]), events))
+    return validate_wiring(WiringDiagram(json_field(doc["wires"], int, "wires"), events))
 
 
 def wiring_to_json(w: WiringDiagram) -> dict:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cutcount import cli
 
@@ -203,6 +205,33 @@ class TestBadInput:
     def test_no_command(self):
         assert run().returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"kind": "wiring", "wires": 3.9, "events": []}',
+        '{"kind": "wiring", "wires": true, "events": []}',
+        '{"kind": "wiring", "wires": "3", "events": []}',
+        '{"kind": "wiring", "wires": 3, "events": {}}',
+        '{"kind": "wiring", "wires": 3, "events": [{"top": 0, "size": 2.5}]}',
+        '{"kind": "wiring", "wires": 3, "events": [{"top": false, "size": 2}]}',
+        '{"kind": "hyperplanes", "ambient_dim": 2.7, "hyperplanes": []}',
+        '{"kind": "hyperplanes", "ambient_dim": 1e400, "hyperplanes": []}',
+        '{"kind": "hyperplanes", "ambient_dim": 2, "hyperplanes": {}}',
+        '{"kind": "hyperplanes", "ambient_dim": 2, "hyperplanes": [{"normal": "10", "offset": "0"}]}',
+        '{"kind": "semilattice", "ambient_dim": 2.0, "flats": [{"id": 0, "dim": 2}], "leq": []}',
+        '{"kind": "semilattice", "ambient_dim": 2, "flats": [{"id": 0.5, "dim": 2}], "leq": []}',
+        '{"kind": "semilattice", "ambient_dim": 1, "flats": [{"id": 0, "dim": true}], "leq": []}',
+        '{"kind": "semilattice", "ambient_dim": 2, "flats": [{"id": 0, "dim": 2}], "leq": {}}',
+        '{"kind": "semilattice", "ambient_dim": 2, "flats": [{"id": 0, "dim": 2}], "leq": [["0", "0"]]}',
+        '{"kind": "semilattice", "ambient_dim": 2, "flats": [{"id": 0, "dim": 2}], "leq": ["00"]}',
+    ])
+    def test_strict_json_types(self, tmp_path, text):
+        # only real, non-bool integers and real lists are read; nothing is coerced
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_in_process(["mobius", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("args", [
     # larger than a pipe buffer, so the write fails inside the command
@@ -223,3 +252,82 @@ def test_closed_stdout_exits_quietly(fixture_path, args):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+# Small values only: no int above 8 and no list above 4 items, so no
+# generated document asks for a large lattice or a long face walk.
+small = st.integers(-1, 8)
+junk = st.recursive(
+    st.none() | st.booleans() | small | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=6,
+)
+rational = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"])
+
+
+@st.composite
+def hyperplane_docs(draw):
+    n = draw(st.integers(1, 3))
+    plane = st.fixed_dictionaries({"normal": st.lists(rational, min_size=n, max_size=n), "offset": rational})
+    return {"kind": "hyperplanes", "ambient_dim": n, "hyperplanes": draw(st.lists(plane, max_size=4))}
+
+
+@st.composite
+def wiring_docs(draw):
+    event = st.fixed_dictionaries({"top": st.integers(0, 3), "size": st.integers(2, 3)})
+    return {"kind": "wiring", "wires": draw(st.integers(1, 5)), "events": draw(st.lists(event, max_size=4))}
+
+
+@st.composite
+def semilattice_docs(draw):
+    n = draw(st.integers(0, 2))
+    dims = [n] + draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3))
+    size = len(dims)
+    pairs = [[0, b] for b in range(1, size)]
+    pairs += draw(st.lists(st.lists(st.integers(0, size - 1), min_size=2, max_size=2), max_size=2))
+    flats = [{"id": i, "dim": d} for i, d in enumerate(dims)]
+    return {"kind": "semilattice", "ambient_dim": n, "flats": flats, "leq": pairs}
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, path + (index,))
+
+
+@st.composite
+def documents(draw):
+    """A well-formed document of some kind, often with one value anywhere in
+    it (the whole document included) replaced by an arbitrary JSON value."""
+    doc = draw(hyperplane_docs() | wiring_docs() | semilattice_docs())
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(junk)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(junk)
+    return doc
+
+
+@given(documents())
+@example({"kind": "hyperplanes", "ambient_dim": float("inf"), "hyperplanes": []})
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_documents_exit_cleanly(tmp_path, doc):
+    # every input either succeeds or exits 2 with a one-line error; 1 only
+    # for a verified mismatch; never an uncaught exception
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("mobius", "fpoly", "faces", "verify"):
+        code, out, err = run_in_process([command, str(path)])
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        elif code == 1:
+            assert command == "verify" and out.endswith("match: FAIL\n")
+        else:
+            assert code == 0 and err == "", err

@@ -12,7 +12,6 @@ from cutcount.faces import chambers, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
     BiPolynomial,
     Flat,
-    Semilattice,
     chamber_count,
     f_from_mobius,
     f_vector_from_semilattice,
@@ -237,9 +236,8 @@ def test_validation_and_mobius_match_brute_force(relation):
         return any(all((c, g) in leq for c in lower) for g in lower)
 
     meets = all(has_meet(a, b) for a in flats for b in flats)
-    candidate = Semilattice(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
     try:
-        L = validate_semilattice(candidate)
+        L = validate_semilattice(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
     except MissingMeet:
         assert other_checks_pass and not meets
         return
