@@ -72,8 +72,7 @@ def json_field(value, kind: type, what: str):
     """`value` when its JSON type is exactly `kind`, int or list; ParseError
     otherwise, so nothing is coerced: `true` and `3.9` are not integers."""
     if type(value) is not kind:
-        noun = "an integer" if kind is int else "a list"
-        raise ParseError(f"{what} must be {noun}, got {value!r}")
+        raise ParseError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 

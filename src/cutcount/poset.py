@@ -375,7 +375,7 @@ def upper_set(L: Semilattice, x: int) -> Semilattice:
         if support is not None and root.support is not None:
             support = frozenset(support - root.support)
         new_flats.append(Flat(fy.id, fy.dim, support, fy.payload))
-    # keep is an up-set, so it holds b whenever it holds some a <= b
+    # the flats above x form an up-set, so a >= x puts every b >= a in it too
     pairs = [(a, b) for a, b in _strict_pairs(L) if L.leq(x, a)]
     return validate_semilattice(root.dim, new_flats, pairs)
 

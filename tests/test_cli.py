@@ -1,4 +1,5 @@
-"""End-to-end command-line behavior, run through the installed module."""
+"""End-to-end command-line behavior, run through the installed module or
+through cli.main in-process."""
 
 import contextlib
 import io
