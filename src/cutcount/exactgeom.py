@@ -8,6 +8,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import DuplicateHyperplane, FlatNotInLattice, ParseError, json_field
 from .poset import Flat, Semilattice, validate_semilattice
@@ -214,8 +215,9 @@ def flat_parametrization(
     return x0, basis
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _dot(u, v):
+    # exact for int and Fraction entries alike
+    return sum(map(mul, u, v))
 
 
 def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:

@@ -2,20 +2,29 @@
 
 Every face is the solution set of one sign assignment: equalities on the
 zero entries, strict inequalities elsewhere. Feasibility is decided
-exactly, so the resulting f-vector is ground truth the Möbius side of the
-package can be checked against.
+exactly, by Fourier-Motzkin elimination over int, so the resulting
+f-vector is ground truth the Möbius side of the package can be checked
+against.
+
+The walk assigns signs one hyperplane at a time and carries an exact point
+in the relative interior of each partial face, its witness. The witness
+settles its own side of the next hyperplane without any elimination, so a
+node costs at most one feasibility call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, gcd, lcm
 
 from .errors import CapExceeded, DimensionMismatch
 from .exactgeom import Arrangement, _dot, build_lattice, flat_parametrization, intersect
 from .poset import Semilattice
 
 DEFAULT_CAP = 12
+# the oracle's reports hold a count per dimension; larger spaces are refused
+MAX_AMBIENT_DIM = 64
 
 _CHAR = {1: "+", 0: "0", -1: "-"}
 
@@ -43,73 +52,185 @@ class FaceRecord:
     flat_id: int
 
 
-def _strict_feasible(rows: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int) -> bool:
-    # decide {coeffs . t > rhs for each row} by Fourier-Motzkin elimination;
-    # every row is strict, so a constant row 0 > rhs fails iff rhs >= 0
-    def settle(rs):
-        keep = []
-        for coeffs, rhs in rs:
-            if any(coeffs):
-                keep.append((coeffs, rhs))
-            elif rhs >= 0:
-                return None
-        return keep
+def _primitive(values) -> tuple[int, ...]:
+    # the positive multiple of a rational vector with coprime integer entries
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
-    live = settle(rows)
-    if live is None:
-        return False
+
+def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
+    # homogeneous point X / D with D > 0, common factors removed
+    g = gcd(*X, D)
+    return tuple(x // g for x in X), D // g
+
+
+def _settle(rows):
+    """Rows of `c . t > r`, stored as (c..., r), with duplicates removed:
+    of the rows sharing c only the largest r is kept, as it implies the
+    others. None when a row without coefficients (0 > r) fails."""
+    tightest = {}
+    for row in rows:
+        c = row[:-1]
+        if any(c):
+            kept = tightest.get(c)
+            if kept is None or row[-1] > kept[-1]:
+                tightest[c] = row
+        elif row[-1] >= 0:
+            return None
+    return list(tightest.values())
+
+
+def _between(lo, hi):
+    # a small rational strictly inside (lo, hi); None is an open end
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        return 0
+    if hi is None:
+        return floor(lo) + 1
+    if lo is None:
+        return ceil(hi) - 1
+    step = floor(lo) + 1
+    return step if step < hi else (lo + hi) / 2
+
+
+def _fm_point(rows, nvars: int):
+    """A point t with c . t > r for every integer row (c..., r), or None.
+
+    Fourier-Motzkin over int: variables go in index order, each pair of a
+    row bounding the variable from below and one bounding it from above
+    is combined with positive integer weights, and every new row is
+    divided by the gcd of its entries. The bounding rows of each stage are
+    kept; the last variable is never combined, its interval is read off
+    directly, and the point is then filled in from the last stage back.
+    """
+    stages = []
+    live = _settle(rows)
     for v in range(nvars):
         if not live:
-            return True
-        pos = [r for r in live if r[0][v] > 0]
-        neg = [r for r in live if r[0][v] < 0]
-        combined = [r for r in live if r[0][v] == 0]
-        for cp, bp in pos:
-            for cn, bn in neg:
-                a, b = -cn[v], cp[v]
-                combined.append(
-                    (tuple(a * x + b * y for x, y in zip(cp, cn)), a * bp + b * bn)
-                )
-        live = settle(combined)
-        if live is None:
-            return False
-    return not live
+            break
+        pos = [r for r in live if r[v] > 0]
+        neg = [r for r in live if r[v] < 0]
+        stages.append((v, pos, neg))
+        if v + 1 == nvars:
+            break
+        rest = [r for r in live if r[v] == 0]
+        for p in pos:
+            for q in neg:
+                a, b = -q[v], p[v]
+                g = gcd(a, b)
+                row = tuple((a // g) * x + (b // g) * y for x, y in zip(p, q))
+                g = gcd(*row)
+                rest.append(tuple(x // g for x in row) if g > 1 else row)
+        live = _settle(rest)
+    if live is None:
+        return None
+    t = [0] * nvars
+    for v, pos, neg in reversed(stages):
+        def bound(r):
+            return Fraction(r[-1] - sum(r[k] * t[k] for k in range(v + 1, nvars)), r[v])
+
+        lo = max(map(bound, pos), default=None)
+        hi = min(map(bound, neg), default=None)
+        if lo is not None and hi is not None and lo >= hi:
+            return None  # only the last stage can be empty
+        t[v] = _between(lo, hi)
+    return t
 
 
-class _Feasibility:
-    """Sign-system feasibility against one arrangement, with flat caching."""
+class _Chart:
+    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k.
+
+    A hyperplane's row in these coordinates is computed the first time a
+    system on this flat mentions it, and kept.
+    """
+
+    __slots__ = ("flat", "origin", "scale", "basis", "rows")
+
+    def __init__(self, flat, ambient_dim: int) -> None:
+        x0, basis = flat_parametrization(flat.equations, ambient_dim)
+        self.flat = flat
+        self.scale = lcm(*(v.denominator for v in x0))
+        self.origin = tuple(v.numerator * (self.scale // v.denominator) for v in x0)
+        self.basis = [_primitive(b) for b in basis]
+        self.rows: dict[int, tuple[int, ...]] = {}
+
+    def row(self, j: int, plane: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+        """Row (c..., r) with normal . x > offset exactly when c . t > r."""
+        row = self.rows.get(j)
+        if row is None:
+            normal, offset = plane
+            row = _primitive((
+                *(self.scale * _dot(normal, b) for b in self.basis),
+                offset * self.scale - _dot(normal, self.origin),
+            ))
+            self.rows[j] = row
+        return row
+
+    def point(self, t) -> tuple[tuple[int, ...], int]:
+        """Homogeneous integer coordinates of the point with coordinates t."""
+        den = lcm(*(v.denominator for v in t))
+        T = [v.numerator * (den // v.denominator) for v in t]
+        X = [den * o for o in self.origin]
+        for tk, b in zip(T, self.basis):
+            if tk:
+                X = [x + self.scale * tk * c for x, c in zip(X, b)]
+        return _reduced(X, den * self.scale)
+
+
+class _Systems:
+    """Sign systems of one arrangement over int: a primitive integer row
+    per hyperplane, a chart per flat, flats looked up by zero set. An
+    ambient dimension above MAX_AMBIENT_DIM is refused up front."""
 
     def __init__(self, A: Arrangement) -> None:
-        self.A = A
-        self._flats: dict[frozenset[int], object] = {}
-        self._params: dict = {}
-
-    def flat_of(self, zero: frozenset[int]):
-        if zero not in self._flats:
-            self._flats[zero] = intersect(self.A, zero)
-        return self._flats[zero]
-
-    def holds(self, assigned: dict[int, int], zero: frozenset[int]) -> bool:
-        flat = self.flat_of(zero)
-        if flat is None:
-            return False
-        if flat.equations not in self._params:
-            self._params[flat.equations] = flat_parametrization(
-                flat.equations, self.A.ambient_dim
+        if A.ambient_dim > MAX_AMBIENT_DIM:
+            raise CapExceeded(
+                f"ambient dimension {A.ambient_dim} exceeds the face oracle's limit of {MAX_AMBIENT_DIM}"
             )
-        x0, basis = self._params[flat.equations]
+        self.A = A
+        self.planes = []
+        for h in A.hyperplanes:
+            *normal, offset = _primitive((*h.normal, h.offset))
+            self.planes.append((tuple(normal), offset))
+        self._by_zero: dict[frozenset[int], _Chart | None] = {}
+        self._by_equations: dict[tuple, _Chart] = {}
+
+    def chart(self, zero: frozenset[int]) -> _Chart | None:
+        """Chart of the flat where the hyperplanes in `zero` meet; None if
+        they do not."""
+        if zero in self._by_zero:
+            return self._by_zero[zero]
+        flat = intersect(self.A, zero)
+        chart = None
+        if flat is not None:
+            chart = self._by_equations.get(flat.equations)
+            if chart is None:
+                chart = self._by_equations[flat.equations] = _Chart(flat, self.A.ambient_dim)
+        self._by_zero[zero] = chart
+        return chart
+
+    def solve(self, chart: _Chart, strict) -> tuple[tuple[int, ...], int] | None:
+        """A point of the chart's flat strictly on side s of hyperplane j
+        for every (j, s) in `strict`, or None when there is none."""
         rows = []
-        for j, s in assigned.items():
-            if s == 0:
-                continue
-            h = self.A.hyperplanes[j]
-            coeffs = tuple(_dot(h.normal, vec) for vec in basis)
-            rhs = h.offset - _dot(h.normal, x0)
-            if s < 0:
-                coeffs = tuple(-c for c in coeffs)
-                rhs = -rhs
-            rows.append((coeffs, rhs))
-        return _strict_feasible(rows, flat.dim)
+        for j, s in strict:
+            row = chart.row(j, self.planes[j])
+            rows.append(row if s > 0 else tuple(-v for v in row))
+        t = _fm_point(rows, len(chart.basis))
+        return None if t is None else chart.point(t)
+
+    def step(self, start, direction, strict) -> tuple[tuple[int, ...], int]:
+        """start + direction / (k D) for the least k >= 1 keeping every
+        strict sign: the exact ratio test along the segment."""
+        X, D = start
+        k = 1
+        for j, s in strict:
+            normal, offset = self.planes[j]
+            slope = s * _dot(normal, direction)
+            if slope < 0:
+                k = max(k, -slope // (s * (_dot(normal, X) - offset * D)) + 1)
+        return _reduced([k * x + d for x, d in zip(X, direction)], k * D)
 
 
 def feasible(A: Arrangement, signs: tuple[int, ...]) -> bool:
@@ -118,60 +239,103 @@ def feasible(A: Arrangement, signs: tuple[int, ...]) -> bool:
         raise DimensionMismatch(
             f"sign vector has {len(signs)} entries for {len(A.hyperplanes)} hyperplanes"
         )
-    zero = frozenset(j for j, s in enumerate(signs) if s == 0)
-    return _Feasibility(A).holds(dict(enumerate(signs)), zero)
+    systems = _Systems(A)
+    chart = systems.chart(frozenset(j for j, s in enumerate(signs) if s == 0))
+    strict = [(j, s) for j, s in enumerate(signs) if s]
+    return chart is not None and systems.solve(chart, strict) is not None
 
 
 def _walk_faces(A: Arrangement, cap: int):
-    """Yield (signs, zero_flat) for every face, in 0 < + < - branch order.
+    """Iterator of (signs, zero_flat, witness) for every face, in 0 < + < -
+    branch order; both budgets are checked before anything is allocated. The
+    witness (X, D) is the point X / D of the face, X integer and D > 0.
 
-    Depth-first over hyperplanes in input order; a partial assignment is
-    abandoned as soon as its system is infeasible, which keeps the walk
-    near-linear in the number of actual faces.
+    Depth first over hyperplanes in input order. Each partial face F,
+    relatively open in its flat, carries a witness w: an exact point of F.
+    At hyperplane H:
+    - H contains F's flat: only 0, witness w.
+    - w lies on H, the flat does not: 0, + and - all hold with no call;
+      the side witnesses step from w along a flat direction crossing H.
+    - w lies off H: its side holds with witness w. One Fourier-Motzkin
+      call on F and H decides the rest: if it finds a point p, 0 holds
+      with witness p and the other side with a point past p away from w.
+    Witnesses are integer vectors over a common denominator, and every
+    step is sized by an exact ratio test, so no comparison is inexact.
     """
     m = len(A.hyperplanes)
     if m > cap:
         raise CapExceeded(f"{m} hyperplanes exceeds the cap of {cap}; raise the cap to proceed")
-    fz = _Feasibility(A)
-    assigned: dict[int, int] = {}
+    return _faces(_Systems(A), m)
 
-    def rec(i: int, zero: frozenset[int]):
+
+def _faces(systems: _Systems, m: int):
+    signs = [0] * m
+    strict: list[tuple[int, int]] = []
+
+    def rec(i: int, zero: frozenset[int], chart: _Chart, w):
         if i == m:
-            yield tuple(assigned[j] for j in range(m)), fz.flat_of(zero)
+            yield tuple(signs), chart.flat, w
             return
-        for s in (0, 1, -1):
-            assigned[i] = s
-            nzero = zero | {i} if s == 0 else zero
-            if fz.holds(assigned, nzero):
-                yield from rec(i + 1, nzero)
-            del assigned[i]
+        zero_i = zero | {i}
+        cut = systems.chart(zero_i)
+        normal, offset = systems.planes[i]
+        X, D = w
+        if i in chart.flat.support:
+            children = ((0, w),)
+        else:
+            value = _dot(normal, X) - offset * D
+            if value == 0:
+                up = next(b for b in chart.basis if _dot(normal, b))
+                if _dot(normal, up) < 0:
+                    up = tuple(-c for c in up)
+                down = tuple(-c for c in up)
+                children = ((0, w), (1, systems.step(w, up, strict)), (-1, systems.step(w, down, strict)))
+            else:
+                side = 1 if value > 0 else -1
+                p = None if cut is None else systems.solve(cut, strict)
+                if p is None:
+                    children = ((side, w),)
+                else:
+                    P, Dp = p
+                    away = [a * D - b * Dp for a, b in zip(P, X)]
+                    past = (-side, systems.step(p, away, strict))
+                    children = ((0, p), (side, w), past) if side > 0 else ((0, p), past, (side, w))
+        for s, point in children:
+            signs[i] = s
+            if s:
+                strict.append((i, s))
+                yield from rec(i + 1, zero, chart, point)
+                strict.pop()
+            else:
+                yield from rec(i + 1, zero_i, cut, point)
 
-    yield from rec(0, frozenset())
+    root = systems.chart(frozenset())
+    origin = ((0,) * systems.A.ambient_dim, 1)
+    yield from rec(0, frozenset(), root, origin)
 
 
 def enumerate_faces(
     A: Arrangement, lattice: Semilattice | None = None, cap: int = DEFAULT_CAP
 ) -> list[FaceRecord]:
     """All faces of A with dimensions and flat ids, in deterministic order."""
+    walk = _walk_faces(A, cap)
     L = lattice if lattice is not None else build_lattice(A)
     by_equations = {L.flats[fid].payload.equations: fid for fid in L.ids()}
-    records = []
-    for signs, flat in _walk_faces(A, cap):
-        records.append(FaceRecord(signs, flat.dim, by_equations[flat.equations]))
-    return records
+    return [FaceRecord(signs, flat.dim, by_equations[flat.equations]) for signs, flat, _ in walk]
 
 
 def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:
     """Face counts (f_0, ..., f_n) by direct enumeration, no Möbius involved."""
+    walk = _walk_faces(A, cap)
     f = [0] * (A.ambient_dim + 1)
-    for _, flat in _walk_faces(A, cap):
+    for _, flat, _ in walk:
         f[flat.dim] += 1
     return f
 
 
 def chambers(A: Arrangement, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """Sign vectors of the full-dimensional faces (no zero entries)."""
-    return [signs for signs, _ in _walk_faces(A, cap) if all(signs)]
+    return [signs for signs, _, _ in _walk_faces(A, cap) if all(signs)]
 
 
 def faces_to_json(A: Arrangement, records: list[FaceRecord]) -> dict:

@@ -17,6 +17,7 @@ from .errors import (
     NegativeCoefficient,
     NoMinimum,
     NotAPartialOrder,
+    ParseError,
     RankViolation,
     UnknownFlat,
     json_field,
@@ -382,15 +383,19 @@ def upper_set(L: Semilattice, x: int) -> Semilattice:
 
 def semilattice_from_json(doc: dict) -> Semilattice:
     """Build and validate a semilattice from its JSON document form."""
-    flats = [
-        Flat(json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim"))
-        for item in json_field(doc["flats"], list, "flats")
-    ]
-    pairs = [
-        tuple(json_field(v, int, "leq entry") for v in json_field(pair, list, "leq pair"))
-        for pair in json_field(doc["leq"], list, "leq")
-    ]
-    return validate_semilattice(json_field(doc["ambient_dim"], int, "ambient_dim"), flats, pairs)
+    try:
+        flats = [
+            Flat(json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim"))
+            for item in json_field(doc["flats"], list, "flats")
+        ]
+        pairs = [
+            tuple(json_field(v, int, "leq entry") for v in json_field(pair, list, "leq pair"))
+            for pair in json_field(doc["leq"], list, "leq")
+        ]
+        ambient_dim = json_field(doc["ambient_dim"], int, "ambient_dim")
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed semilattice document: {exc}") from exc
+    return validate_semilattice(ambient_dim, flats, pairs)
 
 
 def semilattice_to_json(L: Semilattice) -> dict:

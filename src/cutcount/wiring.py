@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import OutOfRange, RepeatedCrossing, json_field
+from .errors import OutOfRange, ParseError, RepeatedCrossing, json_field
 from .poset import Flat, Semilattice, validate_semilattice
 
 
@@ -117,11 +117,15 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
 
 def wiring_from_json(doc: dict) -> WiringDiagram:
     """Build and validate a diagram from its JSON document form."""
-    events = tuple(
-        CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size"))
-        for e in json_field(doc["events"], list, "events")
-    )
-    return validate_wiring(WiringDiagram(json_field(doc["wires"], int, "wires"), events))
+    try:
+        events = tuple(
+            CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size"))
+            for e in json_field(doc["events"], list, "events")
+        )
+        wires = json_field(doc["wires"], int, "wires")
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed wiring document: {exc}") from exc
+    return validate_wiring(WiringDiagram(wires, events))
 
 
 def wiring_to_json(w: WiringDiagram) -> dict:

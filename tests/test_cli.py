@@ -14,6 +14,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cutcount import cli
+from cutcount.errors import ParseError
+from cutcount.faces import MAX_AMBIENT_DIM
+from cutcount.poset import semilattice_from_json
+from cutcount.wiring import wiring_from_json
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
 
@@ -232,6 +236,50 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", [10**18, MAX_AMBIENT_DIM + 1])
+    @pytest.mark.parametrize("command", ["faces", "verify"])
+    def test_huge_ambient_dimension_refused(self, tmp_path, command, dim):
+        # the face oracle's budget trips before a count per dimension exists
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "hyperplanes", "ambient_dim": dim, "hyperplanes": []}))
+        code, out, err = run_in_process([command, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "ambient dimension" in err
+
+    @pytest.mark.parametrize("command", ["mobius", "fpoly"])
+    def test_huge_ambient_dimension_order_side(self, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "hyperplanes", "ambient_dim": 10**18, "hyperplanes": []}))
+        code, out, err = run_in_process([command, str(path)])
+        assert (code, err) == (0, "")
+        assert out == '{"terms": [{"x": 0, "y": 0, "coeff": "1"}], "pretty": "1"}\n'
+
+    def test_largest_ambient_dimension_enumerated(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "hyperplanes", "ambient_dim": MAX_AMBIENT_DIM, "hyperplanes": []}))
+        code, out, _ = run_in_process(["faces", str(path)])
+        assert code == 0
+        assert json.loads(out)["f_vector"] == [0] * MAX_AMBIENT_DIM + [1]
+
+
+@pytest.mark.parametrize("loader, doc", [
+    (wiring_from_json, {"kind": "wiring"}),
+    (wiring_from_json, {"kind": "wiring", "events": []}),
+    (wiring_from_json, {"kind": "wiring", "wires": 3, "events": [{"top": 0}]}),
+    (wiring_from_json, {"kind": "wiring", "wires": 3, "events": [[0, 2]]}),
+    (wiring_from_json, []),
+    (semilattice_from_json, {"kind": "semilattice"}),
+    (semilattice_from_json, {"kind": "semilattice", "flats": [], "leq": []}),
+    (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 0, "flats": [{"id": 0}], "leq": []}),
+    (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 0, "flats": [0], "leq": []}),
+    (semilattice_from_json, "semilattice"),
+])
+def test_loaders_raise_parse_error(loader, doc):
+    # library callers get the same error class the hyperplane loader raises
+    with pytest.raises(ParseError):
+        loader(doc)
 
 
 @pytest.mark.parametrize("args", [

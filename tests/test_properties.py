@@ -6,9 +6,10 @@ from itertools import product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cutcount.cli import generate_arrangement
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
-from cutcount.faces import chambers, enumerate_faces, f_vector_oracle, feasible
+from cutcount.faces import DEFAULT_CAP, _walk_faces, chambers, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
     BiPolynomial,
     Flat,
@@ -48,6 +49,26 @@ def plane_arrangements(draw, max_planes=4):
             seen.add(h)
             planes.append(h)
     return Arrangement(2, planes)
+
+
+@st.composite
+def space_arrangements(draw, max_planes=5):
+    """Planes in R^3 with coefficients in -2..2: parallel classes, several
+    planes through one point or line, central arrangements."""
+    small = st.integers(-2, 2)
+    rows = draw(
+        st.lists(
+            st.tuples(small, small, small, small).filter(lambda t: any(t[:3])),
+            max_size=max_planes,
+        )
+    )
+    planes, seen = [], set()
+    for *normal, offset in rows:
+        h = Hyperplane(tuple(F(v) for v in normal), F(offset))
+        if h not in seen:
+            seen.add(h)
+            planes.append(h)
+    return Arrangement(3, planes)
 
 
 @st.composite
@@ -105,7 +126,7 @@ def test_chambers_match_mobius_count(A):
     assert len(chambers(A)) == chamber_count(build_lattice(A))
 
 
-@given(plane_arrangements(max_planes=3))
+@given(plane_arrangements(max_planes=5))
 @settings(max_examples=30, deadline=None)
 def test_pruned_walk_equals_exhaustive_search(A):
     walked = {r.signs for r in enumerate_faces(A)}
@@ -113,6 +134,45 @@ def test_pruned_walk_equals_exhaustive_search(A):
         s for s in product((1, 0, -1), repeat=len(A.hyperplanes)) if feasible(A, s)
     }
     assert walked == brute
+
+
+@given(space_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_space_walk_equals_exhaustive_search_and_mobius(A):
+    walked = [r.signs for r in enumerate_faces(A)]
+    # product over (0, 1, -1) runs in the walk's 0 < + < - order
+    brute = [s for s in product((0, 1, -1), repeat=len(A.hyperplanes)) if feasible(A, s)]
+    assert walked == brute
+    L = build_lattice(A)
+    f = f_from_mobius(mobius_polynomial(L), L.rank)
+    direct = f_vector_oracle(A)
+    assert [f.coefficient(3 - i) for i in range(4)] == direct
+    assert f_vector_from_semilattice(L) == direct
+
+
+def assert_witnesses_certify(A):
+    """Each face's witness is an exact point of that face: on every
+    hyperplane it has the face's sign, and it solves the face's flat."""
+    n = A.ambient_dim
+    for signs, flat, (X, D) in _walk_faces(A, DEFAULT_CAP):
+        assert D > 0
+        w = [F(x, D) for x in X]
+        for h, s in zip(A.hyperplanes, signs):
+            value = sum(a * x for a, x in zip(h.normal, w)) - h.offset
+            assert (value > 0) - (value < 0) == s, (signs, w)
+        for eq in flat.equations:
+            assert sum(a * x for a, x in zip(eq[:n], w)) == eq[n], (signs, w)
+
+
+@given(plane_arrangements(max_planes=5) | space_arrangements())
+@settings(max_examples=80, deadline=None)
+def test_witnesses_certify_every_face(A):
+    assert_witnesses_certify(A)
+
+
+def test_witnesses_certify_every_face_of_the_acceptance_batch():
+    for seed in range(200):
+        assert_witnesses_certify(generate_arrangement(2 + seed % 2, 2 + seed % 5, 5, seed))
 
 
 @given(plane_arrangements(), st.randoms(use_true_random=False))
