@@ -104,14 +104,15 @@ def cmd_verify(args) -> int:
     kind, payload = load_document(args.file)
     if kind == "semilattice":
         raise UnsupportedKind("verification needs a face oracle; give hyperplanes or wiring input")
-    L = _lattice_of(kind, payload)
-    M = mobius_polynomial(L)
-    fpoly = f_from_mobius(M, L.rank)
-    n = L.ambient_dim
+    # the oracle refuses an input over its budgets before any lattice is built
     if kind == "hyperplanes":
         direct = f_vector_oracle(payload, cap=args.cap)
     else:
         direct = list(sweep_f_vector(payload))
+    L = _lattice_of(kind, payload)
+    M = mobius_polynomial(L)
+    fpoly = f_from_mobius(M, L.rank)
+    n = L.ambient_dim
     theorem = [fpoly.coefficient(n - i) for i in range(n + 1)]
     match = theorem == direct
     euler = sum(c if i % 2 == 0 else -c for i, c in enumerate(direct))

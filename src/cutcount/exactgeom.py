@@ -1,5 +1,6 @@
 """Exact rational hyperplane arrangements: flats, intersection semilattices,
-and restrictions, all over fractions.Fraction so every comparison is exact.
+and restrictions. Each hyperplane is one primitive integer row, eliminated
+without fractions; a flat's canonical equations are fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -7,11 +8,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DuplicateHyperplane, FlatNotInLattice, ParseError, json_field
-from .poset import Flat, Semilattice, validate_semilattice
+from .poset import Flat, Semilattice, _bits, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -26,6 +27,14 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Inverse of parse_rational: "p" for integers, "p/q" otherwise."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _primitive(values) -> tuple[int, ...]:
+    # the positive multiple of a rational vector with coprime integer entries
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
@@ -82,7 +91,9 @@ class Hyperplane:
 
 
 class Arrangement:
-    """An ordered, duplicate-free list of hyperplanes in R^n."""
+    """An ordered, duplicate-free list of hyperplanes in R^n. `rows` holds
+    each hyperplane's equation as a primitive integer row (normal entries
+    then offset), a positive multiple of `Hyperplane.row()`."""
 
     def __init__(self, ambient_dim: int, hyperplanes: list[Hyperplane]) -> None:
         if ambient_dim < 1:
@@ -96,6 +107,7 @@ class Arrangement:
                 raise DuplicateHyperplane(f"hyperplane {i} repeats an earlier one: {h.normal} . x = {h.offset}")
             seen.add(h)
         self.hyperplanes = tuple(hyperplanes)
+        self.rows = tuple(_primitive(h.row()) for h in self.hyperplanes)
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -116,15 +128,65 @@ class AffineFlat:
     support: frozenset[int] = field(default_factory=frozenset)
 
 
-def _contains(equations: tuple[tuple[Fraction, ...], ...], row: list[Fraction]) -> bool:
-    # row is in the span of the canonical system iff it reduces to zero
-    work = list(row)
-    for eq in equations:
-        pivot = next(c for c, v in enumerate(eq) if v)
-        if work[pivot]:
-            factor = work[pivot]
-            work = [a - factor * b for a, b in zip(work, eq)]
-    return not any(work)
+def _lead(row) -> int | None:
+    return next((c for c, v in enumerate(row) if v), None)
+
+
+def _reduce(system, row) -> tuple[int, ...]:
+    """The integer `row` with the system's pivot columns eliminated, made
+    primitive with a positive leading entry: zero exactly when the system
+    implies the row's equation, led by the offset when it contradicts it."""
+    for p, e in system:
+        c = row[p]
+        if c:
+            g = gcd(e[p], c)
+            a, b = e[p] // g, c // g
+            row = [a * x - b * y for x, y in zip(row, e)]
+    lead = _lead(row)
+    if lead is None:
+        return tuple(row)
+    g = gcd(*row) if row[lead] > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def _extend(system, row):
+    """The system with a reduced, nonzero `row` added: its leading column
+    is cleared from the other rows, so the system stays fraction-free
+    reduced echelon form, rows sorted by pivot."""
+    q = _lead(row)
+    out = [(q, row)]
+    for p, e in system:
+        c = e[q]
+        if c:
+            g = gcd(row[q], c)
+            a, b = row[q] // g, c // g
+            e = [a * x - b * y for x, y in zip(e, row)]
+            g = gcd(*e)
+            e = tuple(x // g for x in e)
+        out.append((p, e))
+    out.sort()  # pivots are distinct, so only they are compared
+    return out
+
+
+def _system(n: int, rows):
+    """Integer echelon system of the given rows in R^n, or None when they
+    have no common solution: a list of (pivot column, integer row) pairs,
+    each pivot entry positive and every other row zero in its column."""
+    system: list = []
+    for row in rows:
+        row = _reduce(system, row)
+        lead = _lead(row)
+        if lead == n:
+            return None
+        if lead is not None:
+            system = _extend(system, row)
+    return system
+
+
+def _flat(system, n: int, support: frozenset[int]) -> AffineFlat:
+    # the canonical equations: each integer row over its pivot entry
+    equations = tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in system)
+    return AffineFlat(equations, n - len(system), support)
 
 
 def intersect(A: Arrangement, support) -> AffineFlat | None:
@@ -133,62 +195,59 @@ def intersect(A: Arrangement, support) -> AffineFlat | None:
     The result's support is maximal: every hyperplane of A containing the
     solution set is included, not just the indices asked for.
     """
-    n = A.ambient_dim
-    chosen = sorted(set(support))
-    rows, rank = rref([A.hyperplanes[j].row() for j in chosen])
-    system = tuple(tuple(r) for r in rows[:rank])
-    for eq in system:
-        if not any(eq[:n]):
-            return None
-    full = frozenset(
-        j for j, h in enumerate(A.hyperplanes) if _contains(system, h.row())
-    )
-    return AffineFlat(system, n - rank, full)
+    system = _system(A.ambient_dim, [A.rows[j] for j in sorted(set(support))])
+    if system is None:
+        return None
+    full = frozenset(j for j, row in enumerate(A.rows) if not any(_reduce(system, row)))
+    return _flat(system, A.ambient_dim, full)
 
 
 def build_lattice(A: Arrangement) -> Semilattice:
     """Intersection semilattice of A, ordered by reverse inclusion.
 
-    Flats are found by saturation: starting from the whole space, each
-    known flat is cut with each hyperplane outside its support until
-    nothing new appears. The order comes from support containment and is
-    cross-checked against containment of equation row spaces.
+    Flats are found by saturation over integers: each flat keeps its
+    integer echelon system, and each hyperplane outside its support is
+    reduced against it once. Hyperplanes with equal reduced rows meet the
+    flat in the same flat, which gives each meet its maximal support. A
+    nonempty flat is the intersection of its maximal support, so flats are
+    keyed by support bitmask; canonical equations are made for new ones.
+    Every meet (f, f meet H), new or known, is an order pair; these cover
+    pairs close to support containment. Each is cross-checked once: every
+    equation of f reduces to zero against the smaller flat's system.
     """
     n = A.ambient_dim
     top = intersect(A, frozenset())
     assert top is not None
-    flats_by_eq = {top.equations: top}
-    frontier = [top]
+    known = {0: (top, [])}
+    pairs = []
+    frontier = [0]
     while frontier:
         fresh = []
-        for f in frontier:
-            for j in range(len(A.hyperplanes)):
-                if j in f.support:
-                    continue
-                g = intersect(A, f.support | {j})
-                if g is not None and g.equations not in flats_by_eq:
-                    flats_by_eq[g.equations] = g
-                    fresh.append(g)
+        for mask in frontier:
+            system = known[mask][1]
+            meets: dict[tuple[int, ...], int] = {}
+            for j, row in enumerate(A.rows):
+                if not mask >> j & 1:
+                    row = _reduce(system, row)
+                    meets[row] = meets.get(row, 0) | 1 << j
+            for row, group in meets.items():
+                if _lead(row) == n:
+                    continue  # parallel to the flat: the meet is empty
+                cut = mask | group
+                if cut not in known:
+                    sub = _extend(system, row)
+                    known[cut] = (_flat(sub, n, frozenset(_bits(cut))), sub)
+                    fresh.append(cut)
+                sub = known[cut][1]
+                if any(any(_reduce(sub, e)) for _, e in system):
+                    raise RuntimeError("support order disagrees with equation spans")
+                pairs.append((mask, cut))
         frontier = fresh
 
-    ordered = sorted(
-        flats_by_eq.values(),
-        key=lambda f: (n - f.dim, tuple(sorted(f.support)), f.equations),
-    )
-    flats = [Flat(i, f.dim, f.support, f) for i, f in enumerate(ordered)]
-    pairs = []
-    for a, b in combinations(range(len(ordered)), 2):
-        x, y = ordered[a], ordered[b]
-        if x.support < y.support:
-            lo, hi, li, hj = x, y, a, b
-        elif y.support < x.support:
-            lo, hi, li, hj = y, x, b, a
-        else:
-            continue
-        if not all(_contains(hi.equations, list(eq)) for eq in lo.equations):
-            raise RuntimeError("support order disagrees with equation spans")
-        pairs.append((li, hj))
-    return validate_semilattice(n, flats, pairs)
+    ordered = sorted(known, key=lambda mask: (len(known[mask][1]), tuple(_bits(mask))))
+    ids = {mask: i for i, mask in enumerate(ordered)}
+    flats = [Flat(ids[mask], f.dim, f.support, f) for mask, (f, _) in known.items()]
+    return validate_semilattice(n, flats, [(ids[a], ids[b]) for a, b in pairs])
 
 
 def flat_parametrization(
@@ -223,24 +282,28 @@ def _dot(u, v):
 def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
     """Semilattice of the arrangement induced on the flat X.
 
-    Hyperplanes containing X are dropped, the rest are rewritten in
+    X is a flat of A exactly when the hyperplanes containing it, found by
+    integer span tests, intersect in X's equations; otherwise this raises
+    FlatNotInLattice. Those hyperplanes are dropped, the rest rewritten in
     coordinates on X (hyperplanes meeting X in the same set collapse to
-    one), and the lattice is built inside X from scratch. Matches
-    upper_set of the full lattice up to relabeling of supports.
+    one), and the lattice is built inside X from scratch. Matches upper_set
+    of the full lattice up to relabeling of supports.
     """
-    L = build_lattice(A)
-    if not any(
-        fl.payload.equations == X.equations for fl in L.flats.values()
-    ):
+    n = A.ambient_dim
+    shaped = all(len(eq) == n + 1 and all(isinstance(v, Fraction) for v in eq) for eq in X.equations)
+    system = _system(n, [_primitive(eq) for eq in X.equations]) if shaped else None
+    flat = None if system is None else intersect(
+        A, (j for j, row in enumerate(A.rows) if not any(_reduce(system, row))))
+    if flat is None or flat.equations != X.equations:
         raise FlatNotInLattice(f"no flat of the arrangement has equations {X.equations}")
-    if X.dim == 0:
+    if flat.dim == 0:
         only = Flat(0, 0, frozenset(), X)
         return validate_semilattice(0, [only], [])
-    x0, basis = flat_parametrization(X.equations, A.ambient_dim)
+    x0, basis = flat_parametrization(X.equations, n)
     projected: list[Hyperplane] = []
     seen = set()
     for j, h in enumerate(A.hyperplanes):
-        if j in X.support:
+        if j in flat.support:
             continue
         normal = tuple(_dot(h.normal, b) for b in basis)
         if not any(normal):
@@ -250,7 +313,7 @@ def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
         if trace not in seen:
             seen.add(trace)
             projected.append(trace)
-    return build_lattice(Arrangement(X.dim, projected))
+    return build_lattice(Arrangement(flat.dim, projected))
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
 from .errors import CapExceeded, DimensionMismatch
-from .exactgeom import Arrangement, _dot, build_lattice, flat_parametrization, intersect
+from .exactgeom import Arrangement, _dot, _primitive, build_lattice, flat_parametrization, intersect
 from .poset import Semilattice
 
 DEFAULT_CAP = 12
@@ -50,14 +50,6 @@ class FaceRecord:
     signs: tuple[int, ...]
     dim: int
     flat_id: int
-
-
-def _primitive(values) -> tuple[int, ...]:
-    # the positive multiple of a rational vector with coprime integer entries
-    den = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    g = gcd(*ints) or 1
-    return tuple(x // g for x in ints)
 
 
 def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
@@ -155,14 +147,14 @@ class _Chart:
         self.basis = [_primitive(b) for b in basis]
         self.rows: dict[int, tuple[int, ...]] = {}
 
-    def row(self, j: int, plane: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
-        """Row (c..., r) with normal . x > offset exactly when c . t > r."""
+    def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
+        """Row (c..., r) with normal . x > offset exactly when c . t > r,
+        for hyperplane j with integer row `plane`."""
         row = self.rows.get(j)
         if row is None:
-            normal, offset = plane
             row = _primitive((
-                *(self.scale * _dot(normal, b) for b in self.basis),
-                offset * self.scale - _dot(normal, self.origin),
+                *(self.scale * _dot(plane, b) for b in self.basis),
+                plane[-1] * self.scale - _dot(plane, self.origin),
             ))
             self.rows[j] = row
         return row
@@ -179,9 +171,10 @@ class _Chart:
 
 
 class _Systems:
-    """Sign systems of one arrangement over int: a primitive integer row
-    per hyperplane, a chart per flat, flats looked up by zero set. An
-    ambient dimension above MAX_AMBIENT_DIM is refused up front."""
+    """Sign systems of one arrangement over int: its integer rows, a chart
+    per flat, flats looked up by zero set. An ambient dimension above
+    MAX_AMBIENT_DIM is refused up front. `_dot` of a row (normal...,
+    offset) with a point or direction stops at the shorter vector."""
 
     def __init__(self, A: Arrangement) -> None:
         if A.ambient_dim > MAX_AMBIENT_DIM:
@@ -189,10 +182,7 @@ class _Systems:
                 f"ambient dimension {A.ambient_dim} exceeds the face oracle's limit of {MAX_AMBIENT_DIM}"
             )
         self.A = A
-        self.planes = []
-        for h in A.hyperplanes:
-            *normal, offset = _primitive((*h.normal, h.offset))
-            self.planes.append((tuple(normal), offset))
+        self.planes = A.rows
         self._by_zero: dict[frozenset[int], _Chart | None] = {}
         self._by_equations: dict[tuple, _Chart] = {}
 
@@ -226,10 +216,10 @@ class _Systems:
         X, D = start
         k = 1
         for j, s in strict:
-            normal, offset = self.planes[j]
-            slope = s * _dot(normal, direction)
+            plane = self.planes[j]
+            slope = s * _dot(plane, direction)
             if slope < 0:
-                k = max(k, -slope // (s * (_dot(normal, X) - offset * D)) + 1)
+                k = max(k, -slope // (s * (_dot(plane, X) - plane[-1] * D)) + 1)
         return _reduced([k * x + d for x, d in zip(X, direction)], k * D)
 
 
@@ -278,15 +268,15 @@ def _faces(systems: _Systems, m: int):
             return
         zero_i = zero | {i}
         cut = systems.chart(zero_i)
-        normal, offset = systems.planes[i]
+        plane = systems.planes[i]
         X, D = w
         if i in chart.flat.support:
             children = ((0, w),)
         else:
-            value = _dot(normal, X) - offset * D
+            value = _dot(plane, X) - plane[-1] * D
             if value == 0:
-                up = next(b for b in chart.basis if _dot(normal, b))
-                if _dot(normal, up) < 0:
+                up = next(b for b in chart.basis if _dot(plane, b))
+                if _dot(plane, up) < 0:
                     up = tuple(-c for c in up)
                 down = tuple(-c for c in up)
                 children = ((0, w), (1, systems.step(w, up, strict)), (-1, systems.step(w, down, strict)))

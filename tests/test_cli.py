@@ -144,6 +144,19 @@ class TestVerify:
     def test_semilattice_rejected(self, fixture_path):
         assert run("verify", fixture_path("semilattice_axes.json")).returncode == 2
 
+    def test_cap_checked_before_the_lattice(self, tmp_path, monkeypatch):
+        # over the cap, verify must refuse without building the lattice
+        def no_lattice(A):
+            raise AssertionError("build_lattice ran on an input over the cap")
+
+        monkeypatch.setattr(cli, "build_lattice", no_lattice)
+        points = [{"normal": ["1"], "offset": str(i)} for i in range(13)]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": points}))
+        code, out, err = run_in_process(["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: 13 hyperplanes exceeds the cap of 12; raise the cap to proceed\n"
+
 
 class TestGen:
     def test_same_seed_same_bytes(self):

@@ -219,9 +219,21 @@ class TestRestrict:
                 assert mobius_polynomial(R) == mobius_polynomial(U)
 
     def test_unknown_flat_rejected(self, axes):
-        stranger = AffineFlat(((F(1), F(1), F(5)),), 1, frozenset())
-        with pytest.raises(FlatNotInLattice):
-            restrict(axes, stranger)
+        strangers = [
+            ((F(1), F(1), F(5)),),
+            # the line x = 0, with too few and too many columns
+            ((F(1), F(0)),),
+            ((F(1), F(0), F(0), F(0)),),
+            # the line x = 0 again, but not in canonical form
+            ((F(2), F(0), F(0)),),
+            # no solution at all
+            ((F(0), F(0), F(1)),),
+            # not an exact rational
+            ((F(1), F(0), 0.0),),
+        ]
+        for equations in strangers:
+            with pytest.raises(FlatNotInLattice):
+                restrict(axes, AffineFlat(equations, 1, frozenset()))
 
 
 class TestJson:

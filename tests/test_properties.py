@@ -1,14 +1,14 @@
 """Randomized invariants tying the Möbius side to the enumeration side."""
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation
-from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
+from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice, rref
 from cutcount.faces import DEFAULT_CAP, _walk_faces, chambers, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
     BiPolynomial,
@@ -18,6 +18,7 @@ from cutcount.poset import (
     f_vector_from_semilattice,
     mobius,
     mobius_polynomial,
+    semilattice_to_json,
     validate_semilattice,
 )
 from cutcount.wiring import (
@@ -69,6 +70,27 @@ def space_arrangements(draw, max_planes=5):
             seen.add(h)
             planes.append(h)
     return Arrangement(3, planes)
+
+
+@st.composite
+def affine_arrangements(draw, max_planes=5):
+    """Hyperplanes in R^2..R^4 with entries in -2..2. Normals come from a
+    small drawn pool, so parallel classes are common, and some planes pass
+    through one drawn centre, so several often meet in one point or line."""
+    n = draw(st.integers(2, 4))
+    small = st.integers(-2, 2)
+    pool = draw(st.lists(st.tuples(*[small] * n).filter(any), min_size=2, max_size=max_planes, unique=True))
+    centre = draw(st.tuples(*[small] * n))
+    through = draw(st.lists(st.sampled_from(pool), min_size=2, unique=True))
+    rows = [(a, sum(x * c for x, c in zip(a, centre))) for a in through]
+    rows += draw(st.lists(st.tuples(st.sampled_from(pool), small), max_size=max_planes))
+    planes, seen = [], set()
+    for normal, offset in rows[:max_planes]:
+        h = Hyperplane(tuple(F(v) for v in normal), F(offset))
+        if h not in seen:
+            seen.add(h)
+            planes.append(h)
+    return Arrangement(n, planes)
 
 
 @st.composite
@@ -173,6 +195,47 @@ def test_witnesses_certify_every_face(A):
 def test_witnesses_certify_every_face_of_the_acceptance_batch():
     for seed in range(200):
         assert_witnesses_certify(generate_arrangement(2 + seed % 2, 2 + seed % 5, 5, seed))
+
+
+def brute_force_lattice(A):
+    """(equations, dim, support) per flat in id order, and the semilattice
+    document: every subset of hyperplanes intersected through rref, flats
+    deduplicated by equations, the order read off support containment."""
+    n, m = A.ambient_dim, len(A.hyperplanes)
+    rows = [h.row() for h in A.hyperplanes]
+    supports = {}
+    for k in range(m + 1):
+        for subset in combinations(range(m), k):
+            echelon, rank = rref([rows[j] for j in subset])
+            equations = tuple(tuple(r) for r in echelon[:rank])
+            if all(any(eq[:n]) for eq in equations):
+                supports.setdefault(equations, set()).update(subset)
+    flats = sorted(
+        ((eqs, n - len(eqs), frozenset(support)) for eqs, support in supports.items()),
+        key=lambda f: (n - f[1], sorted(f[2])),
+    )
+    doc = {
+        "kind": "semilattice",
+        "ambient_dim": n,
+        "flats": [{"id": i, "dim": dim} for i, (_, dim, _) in enumerate(flats)],
+        "leq": sorted(
+            [a, b] for a, x in enumerate(flats) for b, y in enumerate(flats) if x[2] < y[2]
+        ),
+    }
+    return flats, doc
+
+
+@given(affine_arrangements())
+# two parallel classes and three lines through the origin in R^2
+@example(Arrangement(2, [Hyperplane((F(1), F(0)), F(v)) for v in (0, 1)]
+                     + [Hyperplane((F(0), F(1)), F(v)) for v in (0, 2)]
+                     + [Hyperplane((F(1), F(1)), F(0))]))
+@settings(max_examples=150, deadline=None)
+def test_lattice_equals_brute_force(A):
+    L = build_lattice(A)
+    flats, doc = brute_force_lattice(A)
+    assert [(L.flats[i].payload.equations, L.flats[i].dim, L.flats[i].support) for i in L.ids()] == flats
+    assert semilattice_to_json(L) == doc
 
 
 @given(plane_arrangements(), st.randoms(use_true_random=False))
