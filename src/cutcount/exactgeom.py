@@ -70,20 +70,26 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
 class Hyperplane:
     """The set {x : normal . x = offset}, stored in canonical form.
 
-    The first nonzero normal entry is scaled to 1, which also fixes the
-    labeling of the two open sides: positive means normal . x > offset.
+    Entries are int or Fraction (float and bool raise ValueError) and are
+    kept as Fractions. The first nonzero normal entry is scaled to 1, which
+    also fixes the labeling of the two open sides: positive means
+    normal . x > offset.
     """
 
     normal: tuple[Fraction, ...]
     offset: Fraction
 
     def __post_init__(self) -> None:
-        lead = next((v for v in self.normal if v), None)
+        entries = [Fraction(v) if type(v) is int else v for v in (*self.normal, self.offset)]
+        if not all(isinstance(v, Fraction) for v in entries):
+            raise ValueError(f"hyperplane entries must be int or Fraction: {entries}")
+        lead = next((v for v in entries[:-1] if v), None)
         if lead is None:
             raise ValueError("hyperplane normal must be nonzero")
         if lead != 1:
-            object.__setattr__(self, "normal", tuple(v / lead for v in self.normal))
-            object.__setattr__(self, "offset", self.offset / lead)
+            entries = [v / lead for v in entries]
+        object.__setattr__(self, "normal", tuple(entries[:-1]))
+        object.__setattr__(self, "offset", entries[-1])
 
     def row(self) -> list[Fraction]:
         """Equation as an augmented row: normal entries then offset."""

@@ -105,6 +105,23 @@ class Semilattice:
         return [self._rank_order[i] for i in _bits(self._above[x] & self._below[y])]
 
 
+def _reaches(up: list[int], down: list[int]) -> list[int] | None:
+    # bit j of row i: the flats at positions i and i + 1 + j share an upper
+    # bound; None once those pairs reach a third of all pairs
+    limit = len(up) * (len(up) - 1) // 2
+    reach = []
+    pairs = 0
+    for i, row in enumerate(up):
+        acc = 0
+        for u in _bits(row):
+            acc |= down[u]
+        reach.append(acc >> i + 1)
+        pairs += reach[-1].bit_count()
+        if 3 * pairs >= limit:
+            return None
+    return reach
+
+
 def validate_semilattice(
     ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]
 ) -> Semilattice:
@@ -117,10 +134,16 @@ def validate_semilattice(
     every pair of flats. Raises NoMinimum, NotAPartialOrder, MissingMeet,
     RankViolation, or UnknownFlat accordingly.
 
-    The common lower bounds of a and b form the row below[a] & below[b]. A
-    greatest one exists exactly when that row is itself the principal down-set
-    below[c] of some flat c (which then lies in it), so each pair costs one
-    set lookup among the principal down-sets.
+    Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
+    exactly when any two elements with a common upper bound have a least
+    one. If meets exist, minimal upper bounds u1, u2 of c and d have u1 ^ u2
+    above c and d, so u1 = u2. Conversely the common lower bounds of a and b
+    hold the minimum and lie under a, so their join exists and is a ^ b.
+    So each pair sharing an upper bound is tested, by whether
+    above[c] & above[d] is a principal up-set. When such pairs make a third
+    of all pairs (a central arrangement puts every flat under the cone
+    point), every pair is tested instead, more cheaply, by whether
+    below[a] & below[b] is a principal down-set.
     """
     n = ambient_dim
     if n < 0:
@@ -188,12 +211,25 @@ def validate_semilattice(
                     f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}"
                 )
 
-    principal = set(below.values())
-    for idx, a in enumerate(ids):
-        below_a = below[a]
-        for b in ids[idx + 1:]:
-            if below_a & below[b] not in principal:
-                raise MissingMeet(f"flats {a} and {b} have no greatest lower bound")
+    up = [above[x] for x in order]
+    down = [below[x] for x in order]
+    reach = _reaches(up, down)
+    if reach is None:
+        principal = set(below.values())
+        for idx, a in enumerate(ids):
+            below_a = below[a]
+            for b in ids[idx + 1:]:
+                if below_a & below[b] not in principal:
+                    raise MissingMeet(f"flats {a} and {b} have no greatest lower bound")
+    else:
+        principal_up = set(up)
+        for i, row in enumerate(reach):
+            for j in _bits(row):
+                common = up[i] & up[i + 1 + j]
+                if common not in principal_up:
+                    u1, u2 = [order[u] for u in _bits(common) if down[u] & common == 1 << u][:2]
+                    raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
+                                      f" both are minimal above {order[i]} and {order[i + 1 + j]}")
 
     return Semilattice(n, by_id, order, below, above)
 

@@ -8,7 +8,7 @@ semilattice and all face counts depend only on the crossing pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import OutOfRange, ParseError, RepeatedCrossing, json_field
@@ -25,12 +25,16 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class WiringDiagram:
-    """n wires and an ordered event list; final_permutation is attached by
-    validate_wiring and maps exit position to wire index."""
+    """n wires and an ordered event list. validate_wiring attaches
+    final_permutation, which maps exit position to wire index, and `groups`,
+    the wires meeting at each event from top to bottom."""
 
     wires: int
     events: tuple[CrossingEvent, ...]
     final_permutation: tuple[int, ...] | None = None
+    groups: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.wires < 1:
@@ -38,14 +42,13 @@ class WiringDiagram:
 
     @property
     def validated(self) -> bool:
-        return self.final_permutation is not None
+        return self.groups is not None
 
 
-def _simulate(w: WiringDiagram) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Run the sweep: the wire group of each event plus the exit permutation.
+def validate_wiring(w: WiringDiagram) -> WiringDiagram:
+    """Run the sweep; return the diagram with final_permutation and groups set.
 
-    Raises OutOfRange or RepeatedCrossing on the first invalid event, so
-    every caller revalidates for free.
+    Raises OutOfRange or RepeatedCrossing on the first invalid event.
     """
     perm = list(range(w.wires))
     crossed: set[tuple[int, int]] = set()
@@ -65,13 +68,9 @@ def _simulate(w: WiringDiagram) -> tuple[list[tuple[int, ...]], tuple[int, ...]]
             crossed.add(pair)
         perm[e.top: e.top + e.size] = reversed(group)
         groups.append(tuple(group))
-    return groups, tuple(perm)
-
-
-def validate_wiring(w: WiringDiagram) -> WiringDiagram:
-    """Simulate the sweep; return the diagram with final_permutation set."""
-    _, perm = _simulate(w)
-    return WiringDiagram(w.wires, tuple(w.events), perm)
+    checked = WiringDiagram(w.wires, tuple(w.events), tuple(perm))
+    object.__setattr__(checked, "groups", tuple(groups))
+    return checked
 
 
 def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
@@ -79,12 +78,11 @@ def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
     per event (supported by the wires meeting there)."""
     if not w.validated:
         raise ValueError("wiring diagram has not been validated")
-    groups, _ = _simulate(w)
     n = w.wires
     flats = [Flat(0, 2, frozenset())]
     flats += [Flat(1 + i, 1, frozenset([i])) for i in range(n)]
     pairs = [(0, 1 + i) for i in range(n)]
-    for k, g in enumerate(groups):
+    for k, g in enumerate(w.groups):
         pid = 1 + n + k
         flats.append(Flat(pid, 0, frozenset(g)))
         pairs.append((0, pid))
@@ -101,7 +99,7 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     """
     if not w.validated:
         raise ValueError("wiring diagram has not been validated")
-    groups, _ = _simulate(w)
+    groups = w.groups
     n = w.wires
     f0 = len(groups)
     per_wire = [0] * n

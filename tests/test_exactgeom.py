@@ -99,6 +99,14 @@ class TestHyperplane:
         with pytest.raises(ValueError):
             Hyperplane((F(0), F(0)), F(1))
 
+    def test_entries_kept_exact(self):
+        h = Hyperplane((2, 4), 6)
+        assert h == Hyperplane((F(1), F(2)), F(3))
+        assert all(type(v) is F for v in (*h.normal, h.offset))
+        for normal, offset in (((0.5, 1), 1), ((True, 4), 6), ((1, 2), 1.0)):
+            with pytest.raises(ValueError):
+                Hyperplane(normal, offset)
+
 
 class TestArrangement:
     def test_scaled_duplicate_rejected(self):

@@ -1,9 +1,10 @@
 """Randomized invariants tying the Möbius side to the enumeration side."""
 
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement
@@ -339,11 +340,53 @@ def brute_order(size, pairs):
     return leq
 
 
-@given(relations())
-# two points on the same two lines: the points have no meet
-@example((2, [2, 1, 1, 0, 0], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
-@settings(max_examples=600, deadline=None)
-def test_validation_and_mobius_match_brute_force(relation):
+@st.composite
+def sparse_relations(draw):
+    """(3, dims, pairs) on 8-16 flats: flat 0 at the bottom, the rest in small
+    disjoint clusters, so that pairs sharing an upper bound stay under a
+    third of all pairs. Often two tops over the same two middles have no
+    meet; when those tops are lines, an unrelated point sits above them in
+    rank. Ids are shuffled at the end."""
+    size = draw(st.integers(8, 16))
+    # pairs sharing an upper bound, the minimum's aside, that keep it sparse
+    budget = -(-size * (size - 1) // 6) - size
+    dims = [3]
+    pairs = []
+
+    def add(dim):
+        dims.append(dim)
+        pairs.append((0, len(dims) - 1))
+        return len(dims) - 1
+
+    if size >= 11 and draw(st.booleans()):
+        top = draw(st.integers(0, 1))
+        m1, m2, t1, t2 = add(top + 1), add(top + 1), add(top), add(top)
+        pairs += [(m, t) for m in (m1, m2) for t in (t1, t2)]
+        budget -= 5
+        if top:
+            pairs.append((add(draw(st.integers(1, 2))), add(0)))
+            budget -= 1
+    while len(dims) < size:
+        room = size - len(dims)
+        kind = draw(st.sampled_from(["single", "chain", "vee"]))
+        if kind == "vee" and room >= 3 and budget >= 3:
+            dim = draw(st.integers(1, 2))
+            a1, a2, t = add(dim), add(dim), add(draw(st.integers(0, dim - 1)))
+            pairs += [(a1, t), (a2, t)]
+            budget -= 3
+        elif kind == "chain" and room >= 2 and budget >= 1:
+            dim = draw(st.integers(1, 2))
+            pairs.append((add(dim), add(draw(st.integers(0, dim - 1)))))
+            budget -= 1
+        else:
+            add(draw(st.integers(0, 2)))
+    label = draw(st.permutations(range(size)))
+    return 3, [dims[label.index(i)] for i in range(size)], [(label[a], label[b]) for a, b in pairs]
+
+
+def check_against_brute_force(relation):
+    """Validation, the meet branch, the MissingMeet message and Möbius values
+    against a brute-force order; returns the branch taken on a valid order."""
     ambient, dims, pairs = relation
     size = len(dims)
     flats = range(size)
@@ -358,16 +401,37 @@ def test_validation_and_mobius_match_brute_force(relation):
         lower = [c for c in flats if (c, a) in leq and (c, b) in leq]
         return any(all((c, g) in leq for c in lower) for g in lower)
 
+    def minimal_upper_bounds(c, d):
+        upper = [z for z in flats if (c, z) in leq and (d, z) in leq]
+        return {z for z in upper if not any(w != z and (w, z) in leq for w in upper)}
+
     meets = all(has_meet(a, b) for a in flats for b in flats)
+    # the dual branch runs when pairs with a common upper bound are few
+    shared = sum(1 for c, d in combinations(flats, 2) if minimal_upper_bounds(c, d))
+    branch = "dual" if 3 * shared < size * (size - 1) // 2 else "primal"
     try:
         L = validate_semilattice(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
-    except MissingMeet:
+    except MissingMeet as exc:
         assert other_checks_pass and not meets
-        return
+        if branch == "dual":
+            found = re.fullmatch(
+                r"flats (\d+) and (\d+) have no greatest lower bound:"
+                r" both are minimal above (\d+) and (\d+)", str(exc))
+            assert found, str(exc)
+            u1, u2, c, d = map(int, found.groups())
+            assert u1 != u2 and {u1, u2} <= minimal_upper_bounds(c, d)
+        else:
+            found = re.fullmatch(r"flats (\d+) and (\d+) have no greatest lower bound", str(exc))
+            assert found, str(exc)
+            u1, u2 = map(int, found.groups())
+        assert not has_meet(u1, u2)
+        event(f"{branch} branch, MissingMeet")
+        return branch
     except (NoMinimum, NotAPartialOrder, RankViolation):
         assert not other_checks_pass
-        return
+        return None
     assert other_checks_pass and meets
+    event(f"{branch} branch, meet-semilattice")
 
     def by_rank(zs):
         return sorted(zs, key=lambda z: (ambient - dims[z], z))
@@ -385,3 +449,21 @@ def test_validation_and_mobius_match_brute_force(relation):
             else:
                 mu[x, y] = 0
             assert mobius(L, x, y) == mu[x, y]
+    return branch
+
+
+@given(relations())
+# two points on the same two lines: the points have no meet
+@example((2, [2, 1, 1, 0, 0], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
+@settings(max_examples=600, deadline=None)
+def test_validation_and_mobius_match_brute_force(relation):
+    check_against_brute_force(relation)
+
+
+@given(sparse_relations())
+# two lines over the same two planes, and a point above an unrelated plane
+@example((3, [3, 2, 2, 1, 1, 2, 0, 2, 2, 2, 2],
+          [(0, b) for b in range(1, 11)] + [(1, 3), (1, 4), (2, 3), (2, 4), (5, 6)]))
+@settings(max_examples=300, deadline=None)
+def test_sparse_orders_take_the_dual_meet_check(relation):
+    assert check_against_brute_force(relation) == "dual"

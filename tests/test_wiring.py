@@ -91,8 +91,10 @@ class TestLattice:
         assert len(L.flats) == 3 and L.rank == 1
 
     def test_requires_validation(self):
-        with pytest.raises(ValueError):
-            lattice_from_wiring(WiringDiagram(2, (CrossingEvent(0, 2),)))
+        events = (CrossingEvent(0, 2),)
+        for w in (WiringDiagram(2, events), WiringDiagram(2, events, (1, 0))):
+            with pytest.raises(ValueError):
+                lattice_from_wiring(w)
 
 
 class TestSweep:
@@ -109,8 +111,10 @@ class TestSweep:
         assert sweep_f_vector(diagram(2)) == (0, 2, 3)
 
     def test_requires_validation(self):
-        with pytest.raises(ValueError):
-            sweep_f_vector(WiringDiagram(2, (CrossingEvent(0, 2),)))
+        events = (CrossingEvent(0, 2),)
+        for w in (WiringDiagram(2, events), WiringDiagram(2, events, (1, 0))):
+            with pytest.raises(ValueError):
+                sweep_f_vector(w)
 
     def test_agrees_with_lattice(self, triple, generic3):
         for w in (triple, generic3, diagram(2), generic_diagram(5)):
