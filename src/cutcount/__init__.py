@@ -29,7 +29,6 @@ from .exactgeom import (
     intersect,
     parse_rational,
     restrict,
-    rref,
 )
 from .faces import (
     FaceRecord,

@@ -37,35 +37,6 @@ def _primitive(values) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
-    """Reduced row echelon form with leading ones; returns (rows, rank).
-
-    The input is not modified. The output keeps the original row count,
-    with zero rows collected at the bottom; the first `rank` rows are the
-    canonical representative of the row space.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows, rank
-
-
 @dataclass(frozen=True)
 class Hyperplane:
     """The set {x : normal . x = offset}, stored in canonical form.
@@ -126,12 +97,15 @@ class AffineFlat:
     `equations` is the canonical reduced echelon form of the augmented
     system (each row: normal entries then right-hand side), so two flats
     are equal exactly when their equation tuples are. `support` lists every
-    hyperplane of the owning arrangement that contains the flat.
+    hyperplane of the owning arrangement that contains the flat. `system`
+    is the integer echelon system the equations are read from, set on the
+    flats this module makes and None on one built by hand.
     """
 
     equations: tuple[tuple[Fraction, ...], ...]
     dim: int
     support: frozenset[int] = field(default_factory=frozenset)
+    system: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _lead(row) -> int | None:
@@ -192,7 +166,9 @@ def _system(n: int, rows):
 def _flat(system, n: int, support: frozenset[int]) -> AffineFlat:
     # the canonical equations: each integer row over its pivot entry
     equations = tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in system)
-    return AffineFlat(equations, n - len(system), support)
+    flat = AffineFlat(equations, n - len(system), support)
+    object.__setattr__(flat, "system", system)
+    return flat
 
 
 def intersect(A: Arrangement, support) -> AffineFlat | None:
@@ -224,13 +200,13 @@ def build_lattice(A: Arrangement) -> Semilattice:
     n = A.ambient_dim
     top = intersect(A, frozenset())
     assert top is not None
-    known = {0: (top, [])}
+    known = {0: top}
     pairs = []
     frontier = [0]
     while frontier:
         fresh = []
         for mask in frontier:
-            system = known[mask][1]
+            system = known[mask].system
             meets: dict[tuple[int, ...], int] = {}
             for j, row in enumerate(A.rows):
                 if not mask >> j & 1:
@@ -241,48 +217,77 @@ def build_lattice(A: Arrangement) -> Semilattice:
                     continue  # parallel to the flat: the meet is empty
                 cut = mask | group
                 if cut not in known:
-                    sub = _extend(system, row)
-                    known[cut] = (_flat(sub, n, frozenset(_bits(cut))), sub)
+                    known[cut] = _flat(_extend(system, row), n, frozenset(_bits(cut)))
                     fresh.append(cut)
-                sub = known[cut][1]
+                sub = known[cut].system
                 if any(any(_reduce(sub, e)) for _, e in system):
                     raise RuntimeError("support order disagrees with equation spans")
                 pairs.append((mask, cut))
         frontier = fresh
 
-    ordered = sorted(known, key=lambda mask: (len(known[mask][1]), tuple(_bits(mask))))
+    ordered = sorted(known, key=lambda mask: (-known[mask].dim, tuple(_bits(mask))))
     ids = {mask: i for i, mask in enumerate(ordered)}
-    flats = [Flat(ids[mask], f.dim, f.support, f) for mask, (f, _) in known.items()]
+    flats = [Flat(ids[mask], f.dim, f.support, f) for mask, f in known.items()]
     return validate_semilattice(n, flats, [(ids[a], ids[b]) for a, b in pairs])
-
-
-def flat_parametrization(
-    equations: tuple[tuple[Fraction, ...], ...], ambient_dim: int
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Point x0 and basis B with the flat equal to {x0 + B t}.
-
-    Reads pivots off the canonical echelon system; the basis has one
-    vector per free coordinate, so its length is the flat's dimension.
-    """
-    n = ambient_dim
-    pivots = [next(c for c, v in enumerate(eq) if v) for eq in equations]
-    free = [c for c in range(n) if c not in pivots]
-    x0 = [Fraction(0)] * n
-    for eq, p in zip(equations, pivots):
-        x0[p] = eq[n]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for eq, p in zip(equations, pivots):
-            v[p] = -eq[f]
-        basis.append(v)
-    return x0, basis
 
 
 def _dot(u, v):
     # exact for int and Fraction entries alike
     return sum(map(mul, u, v))
+
+
+def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
+    # homogeneous point X / D with D > 0, common factors removed
+    g = gcd(*X, D)
+    return tuple(x // g for x in X), D // g
+
+
+class _Chart:
+    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k.
+
+    Read off the flat's echelon system: `scale` is the lcm of the pivot
+    entries, and each free column gives one primitive integer direction.
+    A hyperplane's row in these coordinates is computed the first time it
+    is asked for, and kept.
+    """
+
+    __slots__ = ("flat", "origin", "scale", "basis", "rows")
+
+    def __init__(self, flat: AffineFlat, n: int) -> None:
+        self.flat = flat
+        self.scale = lcm(*(e[p] for p, e in flat.system))
+        # row r of `scaled` has pivot entry `scale`: x[p] = (r[n] - sum_c r[c] x[c]) / scale
+        scaled = {p: [v * (self.scale // e[p]) for v in e] for p, e in flat.system}
+        self.origin = tuple(scaled[c][n] if c in scaled else 0 for c in range(n))
+        self.basis = []
+        for c in range(n):
+            if c not in scaled:
+                v = [-scaled[p][c] if p in scaled else 0 for p in range(n)]
+                v[c] = self.scale
+                self.basis.append(_primitive(v))
+        self.rows: dict[int, tuple[int, ...]] = {}
+
+    def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
+        """Row (c..., r) with normal . x > offset exactly when c . t > r,
+        for hyperplane j with integer row `plane`."""
+        row = self.rows.get(j)
+        if row is None:
+            row = _primitive((
+                *(self.scale * _dot(plane, b) for b in self.basis),
+                plane[-1] * self.scale - _dot(plane, self.origin),
+            ))
+            self.rows[j] = row
+        return row
+
+    def point(self, t) -> tuple[tuple[int, ...], int]:
+        """Homogeneous integer coordinates of the point with coordinates t."""
+        den = lcm(*(v.denominator for v in t))
+        T = [v.numerator * (den // v.denominator) for v in t]
+        X = [den * o for o in self.origin]
+        for tk, b in zip(T, self.basis):
+            if tk:
+                X = [x + self.scale * tk * c for x, c in zip(X, b)]
+        return _reduced(X, den * self.scale)
 
 
 def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
@@ -291,9 +296,9 @@ def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
     X is a flat of A exactly when the hyperplanes containing it, found by
     integer span tests, intersect in X's equations; otherwise this raises
     FlatNotInLattice. Those hyperplanes are dropped, the rest rewritten in
-    coordinates on X (hyperplanes meeting X in the same set collapse to
-    one), and the lattice is built inside X from scratch. Matches upper_set
-    of the full lattice up to relabeling of supports.
+    X's integer chart coordinates (hyperplanes meeting X in the same set
+    collapse to one), and the lattice is built inside X from scratch.
+    Matches upper_set of the full lattice up to relabeling of supports.
     """
     n = A.ambient_dim
     shaped = all(len(eq) == n + 1 and all(isinstance(v, Fraction) for v in eq) for eq in X.equations)
@@ -303,23 +308,12 @@ def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
     if flat is None or flat.equations != X.equations:
         raise FlatNotInLattice(f"no flat of the arrangement has equations {X.equations}")
     if flat.dim == 0:
-        only = Flat(0, 0, frozenset(), X)
-        return validate_semilattice(0, [only], [])
-    x0, basis = flat_parametrization(X.equations, n)
-    projected: list[Hyperplane] = []
-    seen = set()
-    for j, h in enumerate(A.hyperplanes):
-        if j in flat.support:
-            continue
-        normal = tuple(_dot(h.normal, b) for b in basis)
-        if not any(normal):
-            # parallel to X: empty trace, not part of the induced arrangement
-            continue
-        trace = Hyperplane(normal, h.offset - _dot(h.normal, x0))
-        if trace not in seen:
-            seen.add(trace)
-            projected.append(trace)
-    return build_lattice(Arrangement(flat.dim, projected))
+        return validate_semilattice(0, [Flat(0, 0, frozenset(), X)], [])
+    chart = _Chart(flat, n)
+    rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in flat.support)
+    # a row without coefficients is parallel to X: its trace is empty
+    traces = dict.fromkeys(Hyperplane(row[:-1], row[-1]) for row in rows if any(row[:-1]))
+    return build_lattice(Arrangement(flat.dim, list(traces)))
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 
 from .errors import CapExceeded, DimensionMismatch
-from .exactgeom import Arrangement, _dot, _primitive, build_lattice, flat_parametrization, intersect
+from .exactgeom import Arrangement, _Chart, _dot, _reduced, build_lattice, intersect
 from .poset import Semilattice
 
 DEFAULT_CAP = 12
@@ -50,12 +50,6 @@ class FaceRecord:
     signs: tuple[int, ...]
     dim: int
     flat_id: int
-
-
-def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
-    # homogeneous point X / D with D > 0, common factors removed
-    g = gcd(*X, D)
-    return tuple(x // g for x in X), D // g
 
 
 def _settle(rows):
@@ -130,51 +124,12 @@ def _fm_point(rows, nvars: int):
     return t
 
 
-class _Chart:
-    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k.
-
-    A hyperplane's row in these coordinates is computed the first time a
-    system on this flat mentions it, and kept.
-    """
-
-    __slots__ = ("flat", "origin", "scale", "basis", "rows")
-
-    def __init__(self, flat, ambient_dim: int) -> None:
-        x0, basis = flat_parametrization(flat.equations, ambient_dim)
-        self.flat = flat
-        self.scale = lcm(*(v.denominator for v in x0))
-        self.origin = tuple(v.numerator * (self.scale // v.denominator) for v in x0)
-        self.basis = [_primitive(b) for b in basis]
-        self.rows: dict[int, tuple[int, ...]] = {}
-
-    def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
-        """Row (c..., r) with normal . x > offset exactly when c . t > r,
-        for hyperplane j with integer row `plane`."""
-        row = self.rows.get(j)
-        if row is None:
-            row = _primitive((
-                *(self.scale * _dot(plane, b) for b in self.basis),
-                plane[-1] * self.scale - _dot(plane, self.origin),
-            ))
-            self.rows[j] = row
-        return row
-
-    def point(self, t) -> tuple[tuple[int, ...], int]:
-        """Homogeneous integer coordinates of the point with coordinates t."""
-        den = lcm(*(v.denominator for v in t))
-        T = [v.numerator * (den // v.denominator) for v in t]
-        X = [den * o for o in self.origin]
-        for tk, b in zip(T, self.basis):
-            if tk:
-                X = [x + self.scale * tk * c for x, c in zip(X, b)]
-        return _reduced(X, den * self.scale)
-
-
 class _Systems:
     """Sign systems of one arrangement over int: its integer rows, a chart
-    per flat, flats looked up by zero set. An ambient dimension above
-    MAX_AMBIENT_DIM is refused up front. `_dot` of a row (normal...,
-    offset) with a point or direction stops at the shorter vector."""
+    per flat keyed by its support, flats looked up by zero set. An ambient
+    dimension above MAX_AMBIENT_DIM is refused up front. `_dot` of a row
+    (normal..., offset) with a point or direction stops at the shorter
+    vector."""
 
     def __init__(self, A: Arrangement) -> None:
         if A.ambient_dim > MAX_AMBIENT_DIM:
@@ -184,21 +139,21 @@ class _Systems:
         self.A = A
         self.planes = A.rows
         self._by_zero: dict[frozenset[int], _Chart | None] = {}
-        self._by_equations: dict[tuple, _Chart] = {}
+        self._by_support: dict[frozenset[int], _Chart] = {}
 
     def chart(self, zero: frozenset[int]) -> _Chart | None:
         """Chart of the flat where the hyperplanes in `zero` meet; None if
         they do not."""
-        if zero in self._by_zero:
-            return self._by_zero[zero]
-        flat = intersect(self.A, zero)
-        chart = None
-        if flat is not None:
-            chart = self._by_equations.get(flat.equations)
-            if chart is None:
-                chart = self._by_equations[flat.equations] = _Chart(flat, self.A.ambient_dim)
-        self._by_zero[zero] = chart
-        return chart
+        if zero not in self._by_zero:
+            flat = intersect(self.A, zero)
+            chart = None
+            if flat is not None:
+                # a maximal support names exactly one flat
+                chart = self._by_support.get(flat.support)
+                if chart is None:
+                    chart = self._by_support[flat.support] = _Chart(flat, self.A.ambient_dim)
+            self._by_zero[zero] = chart
+        return self._by_zero[zero]
 
     def solve(self, chart: _Chart, strict) -> tuple[tuple[int, ...], int] | None:
         """A point of the chart's flat strictly on side s of hyperplane j
@@ -310,8 +265,8 @@ def enumerate_faces(
     """All faces of A with dimensions and flat ids, in deterministic order."""
     walk = _walk_faces(A, cap)
     L = lattice if lattice is not None else build_lattice(A)
-    by_equations = {L.flats[fid].payload.equations: fid for fid in L.ids()}
-    return [FaceRecord(signs, flat.dim, by_equations[flat.equations]) for signs, flat, _ in walk]
+    by_support = {L.flats[fid].support: fid for fid in L.ids()}
+    return [FaceRecord(signs, flat.dim, by_support[flat.support]) for signs, flat, _ in walk]
 
 
 def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:

@@ -53,23 +53,26 @@ class Semilattice:
     closed and checked order. Instances are immutable apart from an
     internal Möbius memo and safe to share between workers.
 
-    The order is stored as bitmask rows: bit i of a row stands for the i-th
-    id of `order`, which lists the flats in (rank, id) order, so walking a
-    row's bits visits its flats in that order. `below[y]` is the principal
-    down-set of y and `above[x]` the principal up-set of x.
+    The order is stored as bitmask rows indexed by position in `order`,
+    which lists the flat ids in (rank, id) order: bit i stands for the flat
+    at position i, so walking a row's bits visits flats in that order.
+    `below[i]` and `above[i]` are the principal down- and up-sets of the
+    flat at position i. Ids become positions only at the public methods.
     """
 
     def __init__(
-        self, ambient_dim: int, flats: dict, order: tuple, below: dict, above: dict
+        self, ambient_dim: int, flats: dict, order: tuple, pos: dict, below: list, above: list
     ) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
         # only the minimum has the ambient dimension, so it comes first
         self.minimum = order[0]
-        # largest rank present (may be smaller than the ambient dimension)
-        self.rank = max(ambient_dim - f.dim for f in flats.values())
         self._ids = tuple(sorted(flats))
-        self._rank_order = order
+        self._order = order
+        self._pos = pos
+        self._ranks = tuple(ambient_dim - flats[fid].dim for fid in order)
+        # largest rank present (may be smaller than the ambient dimension)
+        self.rank = self._ranks[-1]
         self._below = below
         self._above = above
         self._mu_rows: dict[int, dict[int, int]] = {}
@@ -78,31 +81,27 @@ class Semilattice:
         """Flat ids in ascending order."""
         return self._ids
 
-    def _require_known(self, x: int) -> None:
-        if x not in self.flats:
+    def _position(self, x: int) -> int:
+        if x not in self._pos:
             raise UnknownFlat(f"no flat with id {x}")
+        return self._pos[x]
 
     def leq(self, x: int, y: int) -> bool:
         """True when x <= y, i.e. flat y is contained in flat x."""
-        self._require_known(x)
-        self._require_known(y)
-        # x itself lies in the interval [x, y] exactly when x <= y
-        return bool(self._above[x] & self._below[y])
+        i, j = self._position(x), self._position(y)
+        return bool(self._above[i] >> j & 1)
 
     def rank_of(self, x: int) -> int:
-        self._require_known(x)
-        return self.ambient_dim - self.flats[x].dim
+        return self._ranks[self._position(x)]
 
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
-        self._require_known(x)
-        return [self._rank_order[i] for i in _bits(self._above[x])]
+        return [self._order[i] for i in _bits(self._above[self._position(x)])]
 
     def interval(self, x: int, y: int) -> list[int]:
         """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
-        self._require_known(x)
-        self._require_known(y)
-        return [self._rank_order[i] for i in _bits(self._above[x] & self._below[y])]
+        i, j = self._position(x), self._position(y)
+        return [self._order[k] for k in _bits(self._above[i] & self._below[j])]
 
 
 def _reaches(up: list[int], down: list[int]) -> list[int] | None:
@@ -158,105 +157,102 @@ def validate_semilattice(
     if not by_id:
         raise NoMinimum("a semilattice needs at least one flat")
 
+    # rows are indexed by position in (rank, id) order; the checks that name
+    # flats walk ids in id order, which fixes the flats each error names
     ids = tuple(sorted(by_id))
     order = tuple(sorted(ids, key=lambda fid: (-by_id[fid].dim, fid)))
     pos = {fid: i for i, fid in enumerate(order)}
-    below = {fid: 1 << pos[fid] for fid in ids}
+    below = [1 << i for i in range(len(order))]
     for a, b in pairs:
         for c in (a, b):
             if c not in by_id:
                 raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {c}")
-        below[b] |= 1 << pos[a]
+        below[pos[b]] |= 1 << pos[a]
 
     # reflexive-transitive closure over the bitmask rows
     changed = True
     while changed:
         changed = False
-        for y in ids:
-            acc = below[y]
-            for i in _bits(acc):
-                acc |= below[order[i]]
-            if acc != below[y]:
+        for y, row in enumerate(below):
+            acc = row
+            for i in _bits(row):
+                acc |= below[i]
+            if acc != row:
                 below[y] = acc
                 changed = True
 
     for y in ids:
-        for i in _bits(below[y]):
-            x = order[i]
-            if x != y and below[x] >> pos[y] & 1:
-                raise NotAPartialOrder(f"flats {x} and {y} are mutually comparable")
+        py = pos[y]
+        for i in _bits(below[py]):
+            if i != py and below[i] >> py & 1:
+                raise NotAPartialOrder(f"flats {order[i]} and {y} are mutually comparable")
 
-    above = {fid: 0 for fid in ids}
-    for y in ids:
-        ybit = 1 << pos[y]
-        for i in _bits(below[y]):
-            above[order[i]] |= ybit
+    above = [0] * len(order)
+    for y, row in enumerate(below):
+        for i in _bits(row):
+            above[i] |= 1 << y
 
-    full = (1 << len(ids)) - 1
-    minima = [x for x in ids if above[x] == full]
-    if not minima:
+    full = (1 << len(order)) - 1
+    if full not in above:
         raise NoMinimum("no flat lies below every other flat")
-    t = minima[0]
+    t = order[above.index(full)]
     if by_id[t].dim != n:
         raise RankViolation(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
     for y in ids:
+        py = pos[y]
         dim_y = by_id[y].dim
-        for i in _bits(below[y]):
+        for i in _bits(below[py]):
             x = order[i]
-            if x != y and by_id[x].dim <= dim_y:
+            if i != py and by_id[x].dim <= dim_y:
                 raise RankViolation(
                     f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}"
                 )
 
-    up = [above[x] for x in order]
-    down = [below[x] for x in order]
-    reach = _reaches(up, down)
+    reach = _reaches(above, below)
     if reach is None:
-        principal = set(below.values())
+        principal = set(below)
         for idx, a in enumerate(ids):
-            below_a = below[a]
+            below_a = below[pos[a]]
             for b in ids[idx + 1:]:
-                if below_a & below[b] not in principal:
+                if below_a & below[pos[b]] not in principal:
                     raise MissingMeet(f"flats {a} and {b} have no greatest lower bound")
     else:
-        principal_up = set(up)
+        principal_up = set(above)
         for i, row in enumerate(reach):
             for j in _bits(row):
-                common = up[i] & up[i + 1 + j]
+                common = above[i] & above[i + 1 + j]
                 if common not in principal_up:
-                    u1, u2 = [order[u] for u in _bits(common) if down[u] & common == 1 << u][:2]
+                    u1, u2 = [order[u] for u in _bits(common) if below[u] & common == 1 << u][:2]
                     raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                       f" both are minimal above {order[i]} and {order[i + 1 + j]}")
 
-    return Semilattice(n, by_id, order, below, above)
+    return Semilattice(n, by_id, order, pos, below, above)
 
 
 def _strict_pairs(L: Semilattice) -> list[tuple[int, int]]:
     # every (a, b) with a < b, read off the principal down-set rows
-    order = L._rank_order
-    return [(order[i], y) for y in L._ids for i in _bits(L._below[y]) if order[i] != y]
+    order = L._order
+    return [(order[i], order[y]) for y, row in enumerate(L._below) for i in _bits(row) if i != y]
 
 
 def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
-    # all mu(x, z) for z >= x, by the interval recursion; memoized on L
+    # all mu(x, z) for z >= x, by the interval recursion; keyed by position
+    # and memoized on L
     row = L._mu_rows.get(x)
     if row is not None:
         return row
     row = {}
-    order = L._rank_order
     up = L._above[x]
-    for zpos in _bits(up):
-        z = order[zpos]
+    for z in _bits(up):
         if z == x:
             row[z] = 1
             continue
         total = 0
-        inner = (up & L._below[z]) & ~(1 << zpos)
-        for i in _bits(inner):
-            total += row[order[i]]
+        for i in _bits(up & L._below[z] & ~(1 << z)):
+            total += row[i]
         row[z] = -total
     L._mu_rows[x] = row
     return row
@@ -264,9 +260,8 @@ def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
 
 def mobius(L: Semilattice, x: int, y: int) -> int:
     """Möbius value mu(x, y); zero when x is not below y."""
-    if not L.leq(x, y):
-        return 0
-    return _mu_row(L, x)[y]
+    # the row is keyed by the positions of the flats above x
+    return _mu_row(L, L._position(x)).get(L._position(y), 0)
 
 
 class BiPolynomial:
@@ -347,11 +342,12 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     largest rank actually present, not the ambient dimension.
     """
     rk_arr = L.rank
+    ranks = L._ranks
     terms: dict[tuple[int, int], int] = {}
     for x in L.ids():
-        rx = L.rank_of(x)
-        for z, v in _mu_row(L, x).items():
-            key = (rx, rk_arr - L.rank_of(z))
+        i = L._pos[x]
+        for z, v in _mu_row(L, i).items():
+            key = (ranks[i], rk_arr - ranks[z])
             terms[key] = terms.get(key, 0) + v
     return BiPolynomial(terms)
 
@@ -400,7 +396,7 @@ def upper_set(L: Semilattice, x: int) -> Semilattice:
     dim(x) - dim(y). Supports are remapped relative to the new root
     (elements containing x are dropped); upper_set(L, minimum) is L itself.
     """
-    L._require_known(x)
+    L._position(x)
     if x == L.minimum:
         return L
     root = L.flats[x]

@@ -16,7 +16,6 @@ from cutcount.exactgeom import (
     intersect,
     parse_rational,
     restrict,
-    rref,
 )
 from cutcount.poset import (
     f_vector_from_semilattice,
@@ -24,6 +23,7 @@ from cutcount.poset import (
     semilattice_to_json,
     upper_set,
 )
+from reference import rref
 
 
 def lines(*rows):

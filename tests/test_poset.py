@@ -102,6 +102,54 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_semilattice(2, [Flat(0, 2), Flat(0, 1)], [])
 
+    def test_minimum_with_the_largest_id(self):
+        # a point, two lines and the plane, numbered from the top down
+        L = make(2, [0, 1, 1, 2], [(3, 1), (3, 2), (1, 0), (2, 0)])
+        assert L.minimum == 3
+        assert [L.rank_of(i) for i in L.ids()] == [2, 1, 1, 0]
+        assert L.above(3) == [3, 1, 2, 0] and L.interval(1, 0) == [1, 0]
+        assert L.leq(3, 0) and not L.leq(1, 2)
+        assert [mobius(L, 3, y) for y in L.ids()] == [1, -1, -1, 1]
+
+    # In each case the flat ids run against (rank, id) order: a check that
+    # walked rank positions instead of ids would name other flats.
+    @pytest.mark.parametrize("ambient, dims, pairs, error, message", [
+        # the minimum has the largest id and sits below a flat of larger dimension
+        (2, [2, 1], [(1, 0)], RankViolation,
+         "minimum flat 1 has dimension 1, expected the ambient 2"),
+        # point 1 and line 12 above each other, lines 2..11 in between by position
+        (2, [2, 0] + [1] * 11, [(0, b) for b in range(1, 13)] + [(12, 1), (1, 12)],
+         NotAPartialOrder, "flats 12 and 1 are mutually comparable"),
+        # a point under a point and a line under a line
+        (2, [2, 0, 0, 1, 1], [(0, b) for b in range(1, 5)] + [(2, 1), (4, 3)],
+         RankViolation, "flat 2 < flat 1 but dimensions are 0 <= 0"),
+        (2, [1, 2, 2], [(1, 0)], NoMinimum, "no flat lies below every other flat"),
+        (2, [], [], NoMinimum, "a semilattice needs at least one flat"),
+        (2, [0, 2], [(1, 0), (1, 7), (9, 0)], UnknownFlat,
+         "leq pair (1, 7) references unknown flat 7"),
+        # all-pairs branch: points 0, 1 over lines 5, 6 and lines 2, 3 over
+        # planes 7, 8, with the space last; the points come first by id
+        (3, [0, 0, 1, 1, 2, 1, 1, 2, 2, 3],
+         [(9, b) for b in range(9)] + [(7, 2), (7, 3), (8, 2), (8, 3), (5, 0), (5, 1), (6, 0), (6, 1)],
+         MissingMeet, "flats 0 and 1 have no greatest lower bound"),
+        # dual branch: lines 6, 7 over planes 8, 9, point 4 over plane 5, space 10
+        (3, [2, 2, 2, 2, 0, 2, 1, 1, 2, 2, 3],
+         [(10, b) for b in range(10)] + [(9, 7), (9, 6), (8, 7), (8, 6), (5, 4)],
+         MissingMeet, "flats 6 and 7 have no greatest lower bound: both are minimal above 8 and 9"),
+    ])
+    def test_messages_name_flats_in_id_order(self, ambient, dims, pairs, error, message):
+        with pytest.raises(error) as info:
+            make(ambient, dims, pairs)
+        assert str(info.value) == message
+
+    def test_unknown_flat_at_every_method(self, axes):
+        for call in (lambda: axes.leq(0, 7), lambda: axes.rank_of(7), lambda: axes.above(7),
+                     lambda: axes.interval(7, 0), lambda: mobius(axes, 7, 0),
+                     lambda: mobius(axes, 0, 7), lambda: upper_set(axes, 7)):
+            with pytest.raises(UnknownFlat) as info:
+                call()
+            assert str(info.value) == "no flat with id 7"
+
 
 class TestMobius:
     def test_reflexive_is_one(self, axes):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation
-from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice, rref
+from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, restrict
 from cutcount.faces import DEFAULT_CAP, _walk_faces, chambers, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
     BiPolynomial,
@@ -20,6 +20,7 @@ from cutcount.poset import (
     mobius,
     mobius_polynomial,
     semilattice_to_json,
+    upper_set,
     validate_semilattice,
 )
 from cutcount.wiring import (
@@ -29,6 +30,7 @@ from cutcount.wiring import (
     sweep_f_vector,
     validate_wiring,
 )
+from reference import rref
 
 coefficients = st.integers(-3, 3)
 
@@ -237,6 +239,63 @@ def test_lattice_equals_brute_force(A):
     flats, doc = brute_force_lattice(A)
     assert [(L.flats[i].payload.equations, L.flats[i].dim, L.flats[i].support) for i in L.ids()] == flats
     assert semilattice_to_json(L) == doc
+
+
+def pull_back(chart, equations):
+    """A point and a basis of directions in R^n of the flat with these
+    canonical equations in the chart's coordinates t, where
+    x = origin / scale + sum_k t_k basis_k."""
+    d = len(chart.basis)
+    pivots = [next(c for c, v in enumerate(eq) if v) for eq in equations]
+    t = [F(0)] * d
+    for eq, p in zip(equations, pivots):
+        t[p] = eq[d]
+    moves = []
+    for c in range(d):
+        if c not in pivots:
+            v = [F(0)] * d
+            v[c] = F(1)
+            for eq, p in zip(equations, pivots):
+                v[p] = -eq[c]
+            moves.append(v)
+
+    def image(coords, origin):
+        return [origin[i] + sum(tk * b[i] for tk, b in zip(coords, chart.basis)) for i in range(len(origin))]
+
+    zero = [F(0)] * len(chart.origin)
+    return image(t, [F(o, chart.scale) for o in chart.origin]), [image(v, zero) for v in moves]
+
+
+@given(affine_arrangements())
+@settings(max_examples=100, deadline=None)
+def test_restrict_matches_upper_set_and_pulls_back(A):
+    """At every flat X, restrict(A, X) and upper_set agree as ranked posets,
+    and each flat of the restriction, carried back to R^n through X's
+    chart, is a flat of A inside X: the flat of A with the support of its
+    image and its dimension. Every flat inside X is hit once."""
+    L = build_lattice(A)
+    for x in L.ids():
+        X = L.flats[x].payload
+        R, U = restrict(A, X), upper_set(L, x)
+        assert sorted(f.dim for f in R.flats.values()) == sorted(f.dim for f in U.flats.values())
+        assert mobius_polynomial(R) == mobius_polynomial(U)
+        assert f_vector_from_semilattice(R) == f_vector_from_semilattice(U)
+        if X.dim == 0:
+            continue  # the restriction to a point is that point, in no chart
+        chart = _Chart(X, A.ambient_dim)
+        by_support = {L.flats[y].support: L.flats[y] for y in L.above(x)}
+        images = []
+        for r in R.ids():
+            point, moves = pull_back(chart, R.flats[r].payload.equations)
+            support = frozenset(
+                j for j, h in enumerate(A.hyperplanes)
+                if sum(a * v for a, v in zip(h.normal, point)) == h.offset
+                and not any(sum(a * v for a, v in zip(h.normal, m)) for m in moves)
+            )
+            # the image lies in the flat of its support; equal dimension makes them one
+            assert support in by_support and by_support[support].dim == R.flats[r].dim
+            images.append(support)
+        assert sorted(images, key=sorted) == sorted(by_support, key=sorted)
 
 
 @given(plane_arrangements(), st.randoms(use_true_random=False))
