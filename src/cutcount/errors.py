@@ -49,7 +49,7 @@ class DimensionMismatch(CutcountError):
 
 
 class CapExceeded(CutcountError):
-    """The arrangement is larger than the enumeration cap allows."""
+    """The input is larger than a cap or budget allows."""
 
 
 # --- wiring diagrams ---

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .errors import (
+    CapExceeded,
     MissingMeet,
     NegativeCoefficient,
     NoMinimum,
@@ -22,6 +23,9 @@ from .errors import (
     UnknownFlat,
     json_field,
 )
+
+# the order rows take 2 F^2 bits: `verify` peaks near 180 MB at this many flats
+MAX_FLATS = 32_768
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,8 @@ class Semilattice:
     """Finite meet-semilattice of flats over an ambient dimension.
 
     Only :func:`validate_semilattice` calls this constructor, with the
-    closed and checked order. Instances are immutable apart from an
-    internal Möbius memo and safe to share between workers.
+    closed and checked order. Instances are immutable and safe to share
+    between workers.
 
     The order is stored as bitmask rows indexed by position in `order`,
     which lists the flat ids in (rank, id) order: bit i stands for the flat
@@ -75,7 +79,6 @@ class Semilattice:
         self.rank = self._ranks[-1]
         self._below = below
         self._above = above
-        self._mu_rows: dict[int, dict[int, int]] = {}
 
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
@@ -104,29 +107,13 @@ class Semilattice:
         return [self._order[k] for k in _bits(self._above[i] & self._below[j])]
 
 
-def _reaches(up: list[int], down: list[int]) -> list[int] | None:
-    # bit j of row i: the flats at positions i and i + 1 + j share an upper
-    # bound; None once those pairs reach a third of all pairs
-    limit = len(up) * (len(up) - 1) // 2
-    reach = []
-    pairs = 0
-    for i, row in enumerate(up):
-        acc = 0
-        for u in _bits(row):
-            acc |= down[u]
-        reach.append(acc >> i + 1)
-        pairs += reach[-1].bit_count()
-        if 3 * pairs >= limit:
-            return None
-    return reach
-
-
 def validate_semilattice(
     ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]
 ) -> Semilattice:
     """The semilattice of `flats` ordered by `pairs` (a, b), each a <= b.
 
-    Raises ValueError on a negative ambient dimension or a repeated flat id.
+    Raises ValueError on a negative ambient dimension or a repeated flat id,
+    and CapExceeded on more than MAX_FLATS flats.
     Applies the reflexive-transitive closure of the given pairs, then
     confirms antisymmetry, a unique minimum of full dimension, strictly
     decreasing dimensions along the order, and a greatest lower bound for
@@ -138,11 +125,13 @@ def validate_semilattice(
     one. If meets exist, minimal upper bounds u1, u2 of c and d have u1 ^ u2
     above c and d, so u1 = u2. Conversely the common lower bounds of a and b
     hold the minimum and lie under a, so their join exists and is a ^ b.
-    So each pair sharing an upper bound is tested, by whether
-    above[c] & above[d] is a principal up-set. When such pairs make a third
-    of all pairs (a central arrangement puts every flat under the cone
-    point), every pair is tested instead, more cheaply, by whether
-    below[a] & below[b] is a principal down-set.
+    So each incomparable pair sharing an upper bound is tested, by whether
+    above[c] & above[d] is a principal up-set; comparable pairs always pass.
+    The flat T with the largest down-set (the cone point of a central
+    arrangement, which lies above every flat) counts for no pair: a pair
+    without a join has two distinct minimal common upper bounds, so at least
+    one of them is not T, and a pair whose only common upper bound is T
+    passes.
     """
     n = ambient_dim
     if n < 0:
@@ -156,6 +145,8 @@ def validate_semilattice(
         by_id[f.id] = f
     if not by_id:
         raise NoMinimum("a semilattice needs at least one flat")
+    if len(by_id) > MAX_FLATS:
+        raise CapExceeded(f"{len(by_id)} flats exceed the budget of {MAX_FLATS}")
 
     # rows are indexed by position in (rank, id) order; the checks that name
     # flats walk ids in id order, which fixes the flats each error names
@@ -211,23 +202,21 @@ def validate_semilattice(
                     f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}"
                 )
 
-    reach = _reaches(above, below)
-    if reach is None:
-        principal = set(below)
-        for idx, a in enumerate(ids):
-            below_a = below[pos[a]]
-            for b in ids[idx + 1:]:
-                if below_a & below[pos[b]] not in principal:
-                    raise MissingMeet(f"flats {a} and {b} have no greatest lower bound")
-    else:
-        principal_up = set(above)
-        for i, row in enumerate(reach):
-            for j in _bits(row):
-                common = above[i] & above[i + 1 + j]
-                if common not in principal_up:
-                    u1, u2 = [order[u] for u in _bits(common) if below[u] & common == 1 << u][:2]
-                    raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
-                                      f" both are minimal above {order[i]} and {order[i + 1 + j]}")
+    # a failing pair has two minimal common upper bounds, so leaving the flat
+    # with the largest down-set out of every reach hides none of them
+    top = max(range(len(order)), key=lambda u: below[u].bit_count())
+    principal_up = set(above)
+    for i, row in enumerate(above):
+        reach = 0
+        for u in _bits(row & ~(1 << top)):
+            reach |= below[u]
+        # comparable pairs pass; each incomparable one is seen once, as j > i
+        for j in _bits((reach & ~row) >> i << i):
+            common = row & above[j]
+            if common not in principal_up:
+                u1, u2 = [order[u] for u in _bits(common) if below[u] & common == 1 << u][:2]
+                raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
+                                  f" both are minimal above {order[i]} and {order[j]}")
 
     return Semilattice(n, by_id, order, pos, below, above)
 
@@ -240,10 +229,6 @@ def _strict_pairs(L: Semilattice) -> list[tuple[int, int]]:
 
 def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
     # all mu(x, z) for z >= x, by the interval recursion; keyed by position
-    # and memoized on L
-    row = L._mu_rows.get(x)
-    if row is not None:
-        return row
     row = {}
     up = L._above[x]
     for z in _bits(up):
@@ -254,7 +239,6 @@ def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
         for i in _bits(up & L._below[z] & ~(1 << z)):
             total += row[i]
         row[z] = -total
-    L._mu_rows[x] = row
     return row
 
 

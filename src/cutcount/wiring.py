@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import OutOfRange, ParseError, RepeatedCrossing, json_field
-from .poset import Flat, Semilattice, validate_semilattice
+from .errors import CapExceeded, OutOfRange, ParseError, RepeatedCrossing, json_field
+from .poset import MAX_FLATS, Flat, Semilattice, validate_semilattice
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,13 @@ class WiringDiagram:
 def validate_wiring(w: WiringDiagram) -> WiringDiagram:
     """Run the sweep; return the diagram with final_permutation and groups set.
 
-    Raises OutOfRange or RepeatedCrossing on the first invalid event.
+    Raises OutOfRange or RepeatedCrossing on the first invalid event, and
+    CapExceeded when the lattice would have more than MAX_FLATS flats.
     """
+    flats = 1 + w.wires + len(w.events)
+    if flats > MAX_FLATS:
+        raise CapExceeded(f"{w.wires} wires and {len(w.events)} events make {flats} flats,"
+                          f" over the budget of {MAX_FLATS}")
     perm = list(range(w.wires))
     crossed: set[tuple[int, int]] = set()
     groups = []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cutcount import cli
 from cutcount.errors import ParseError
 from cutcount.faces import MAX_AMBIENT_DIM
-from cutcount.poset import semilattice_from_json
+from cutcount.poset import MAX_FLATS, semilattice_from_json
 from cutcount.wiring import wiring_from_json
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
@@ -268,6 +268,20 @@ class TestBadInput:
         code, out, err = run_in_process([command, str(path)])
         assert (code, err) == (0, "")
         assert out == '{"terms": [{"x": 0, "y": 0, "coeff": "1"}], "pretty": "1"}\n'
+
+    @pytest.mark.parametrize("command, doc", [
+        ("verify", {"kind": "wiring", "wires": 10**9, "events": []}),
+        ("mobius", {"kind": "semilattice", "ambient_dim": 1,
+                    "flats": [{"id": i, "dim": int(i == 0)} for i in range(MAX_FLATS + 1)],
+                    "leq": [[0, i] for i in range(1, MAX_FLATS + 1)]}),
+    ])
+    def test_flat_budget(self, tmp_path, command, doc):
+        # a small document must not ask for gigabytes of order rows
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_in_process([command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
     def test_largest_ambient_dimension_enumerated(self, tmp_path):
         path = tmp_path / "doc.json"

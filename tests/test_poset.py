@@ -3,6 +3,7 @@
 import pytest
 
 from cutcount.errors import (
+    CapExceeded,
     MissingMeet,
     NegativeCoefficient,
     NoMinimum,
@@ -11,6 +12,7 @@ from cutcount.errors import (
     UnknownFlat,
 )
 from cutcount.poset import (
+    MAX_FLATS,
     BiPolynomial,
     Flat,
     chamber_count,
@@ -102,6 +104,13 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_semilattice(2, [Flat(0, 2), Flat(0, 1)], [])
 
+    def test_flat_budget(self):
+        # refused from the flat count alone, before any order row exists
+        size = MAX_FLATS + 1
+        with pytest.raises(CapExceeded) as info:
+            make(1, [1] + [0] * (size - 1), [(0, b) for b in range(1, size)])
+        assert str(info.value) == f"{size} flats exceed the budget of {MAX_FLATS}"
+
     def test_minimum_with_the_largest_id(self):
         # a point, two lines and the plane, numbered from the top down
         L = make(2, [0, 1, 1, 2], [(3, 1), (3, 2), (1, 0), (2, 0)])
@@ -127,15 +136,21 @@ class TestValidate:
         (2, [], [], NoMinimum, "a semilattice needs at least one flat"),
         (2, [0, 2], [(1, 0), (1, 7), (9, 0)], UnknownFlat,
          "leq pair (1, 7) references unknown flat 7"),
-        # all-pairs branch: points 0, 1 over lines 5, 6 and lines 2, 3 over
-        # planes 7, 8, with the space last; the points come first by id
+        # points 0, 1 over lines 5, 6 and lines 2, 3 over planes 7, 8, with the
+        # space last; the lines come first by position
         (3, [0, 0, 1, 1, 2, 1, 1, 2, 2, 3],
          [(9, b) for b in range(9)] + [(7, 2), (7, 3), (8, 2), (8, 3), (5, 0), (5, 1), (6, 0), (6, 1)],
-         MissingMeet, "flats 0 and 1 have no greatest lower bound"),
-        # dual branch: lines 6, 7 over planes 8, 9, point 4 over plane 5, space 10
+         MissingMeet, "flats 2 and 3 have no greatest lower bound: both are minimal above 7 and 8"),
+        # lines 6, 7 over planes 8, 9, point 4 over plane 5, space 10
         (3, [2, 2, 2, 2, 0, 2, 1, 1, 2, 2, 3],
          [(10, b) for b in range(10)] + [(9, 7), (9, 6), (8, 7), (8, 6), (5, 4)],
          MissingMeet, "flats 6 and 7 have no greatest lower bound: both are minimal above 8 and 9"),
+        # point 0 over planes 2..6 has the largest down-set, and line 1 over
+        # planes 2, 3 the next largest; planes 2, 3 are the only pair without
+        # a meet, and both of its minimal upper bounds are maximal flats
+        (3, [0, 1, 2, 2, 2, 2, 2, 3],
+         [(7, b) for b in range(7)] + [(p, 0) for p in range(2, 7)] + [(2, 1), (3, 1)],
+         MissingMeet, "flats 1 and 0 have no greatest lower bound: both are minimal above 2 and 3"),
     ])
     def test_messages_name_flats_in_id_order(self, ambient, dims, pairs, error, message):
         with pytest.raises(error) as info:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from cutcount.errors import OutOfRange, RepeatedCrossing
+from cutcount.errors import CapExceeded, OutOfRange, RepeatedCrossing
 from cutcount.poset import (
+    MAX_FLATS,
     f_from_mobius,
     f_vector_from_semilattice,
     mobius_polynomial,
@@ -73,6 +74,14 @@ class TestValidate:
     def test_needs_a_wire(self):
         with pytest.raises(ValueError):
             WiringDiagram(0, ())
+
+    def test_flat_budget(self):
+        # the plane, one line per wire and one point per event
+        assert diagram(MAX_FLATS - 1).validated
+        assert diagram(MAX_FLATS - 2, (0, 2)).validated
+        for wires, events in [(MAX_FLATS, ()), (MAX_FLATS - 1, ((0, 2),))]:
+            with pytest.raises(CapExceeded):
+                diagram(wires, *events)
 
 
 class TestLattice:
