@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from .errors import CutcountError, ParamError, ParseError, UnsupportedKind
 from .exactgeom import (
@@ -165,33 +166,18 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     """
     rng = random.Random(seed)
     perm = list(range(wires))
-    crossed: set[tuple[int, int]] = set()
     events: list[CrossingEvent] = []
-
-    def fresh(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) not in crossed
-
+    # two wires have crossed exactly when they are out of index order
     while len(events) < crossings:
-        simple = [t for t in range(wires - 1) if fresh(perm[t], perm[t + 1])]
-        triple = [
-            t
-            for t in range(wires - 2)
-            if fresh(perm[t], perm[t + 1])
-            and fresh(perm[t], perm[t + 2])
-            and fresh(perm[t + 1], perm[t + 2])
-        ]
-        if not simple and not triple:
+        simple = [t for t in range(wires - 1) if perm[t] < perm[t + 1]]
+        triple = [t for t in range(wires - 2) if perm[t] < perm[t + 1] < perm[t + 2]]
+        if not simple:
             break
-        if triple and (not simple or rng.random() < 0.15):
+        if triple and rng.random() < 0.15:
             top, size = rng.choice(triple), 3
         else:
             top, size = rng.choice(simple), 2
-        group = perm[top: top + size]
-        for i in range(size):
-            for j in range(i + 1, size):
-                a, b = group[i], group[j]
-                crossed.add((min(a, b), max(a, b)))
-        perm[top: top + size] = reversed(group)
+        perm[top: top + size] = reversed(perm[top: top + size])
         events.append(CrossingEvent(top, size))
     return validate_wiring(WiringDiagram(wires, tuple(events)))
 
@@ -211,6 +197,15 @@ def cmd_gen(args) -> int:
             raise ParamError("--count must be nonnegative")
         if bound < 1:
             raise ParamError("--bound must be at least 1")
+        # over half of all p, q <= bound are coprime: over bound^2 values, bound^(2 dim) planes
+        if count > bound ** (2 * dim):
+            # the draw space is finite: a plane is the rest of a drawn vector over its lead c > 0
+            values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
+            planes = (tuple(v / c for v in rest) for m in range(dim, 0, -1)
+                      for c in [v for v in values if v > 0] for rest in product(values, repeat=m))
+            seen = set()
+            if not any(seen.add(plane) or len(seen) == count for plane in planes):
+                raise ParamError(f"--dim {dim} --bound {bound} give only {len(seen)} distinct hyperplanes")
         doc = arrangement_to_json(generate_arrangement(dim, count, bound, args.seed))
     else:
         if args.dim is not None or args.count is not None or args.bound is not None:

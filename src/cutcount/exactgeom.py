@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DuplicateHyperplane, FlatNotInLattice, ParseError, json_field
-from .poset import Flat, Semilattice, _bits, validate_semilattice
+from .errors import CapExceeded, DuplicateHyperplane, FlatNotInLattice, ParseError, json_field
+from .poset import MAX_FLATS, Flat, Semilattice, _bits, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -196,6 +196,7 @@ def build_lattice(A: Arrangement) -> Semilattice:
     Every meet (f, f meet H), new or known, is an order pair; these cover
     pairs close to support containment. Each is cross-checked once: every
     equation of f reduces to zero against the smaller flat's system.
+    Raises CapExceeded as soon as saturation finds more than MAX_FLATS flats.
     """
     n = A.ambient_dim
     top = intersect(A, frozenset())
@@ -217,6 +218,8 @@ def build_lattice(A: Arrangement) -> Semilattice:
                     continue  # parallel to the flat: the meet is empty
                 cut = mask | group
                 if cut not in known:
+                    if len(known) == MAX_FLATS:
+                        raise CapExceeded(f"saturation passed the budget of {MAX_FLATS} flats")
                     known[cut] = _flat(_extend(system, row), n, frozenset(_bits(cut)))
                     fresh.append(cut)
                 sub = known[cut].system

@@ -172,16 +172,18 @@ def validate_semilattice(
                 below[y] = acc
                 changed = True
 
-    for y in ids:
-        py = pos[y]
-        for i in _bits(below[py]):
-            if i != py and below[i] >> py & 1:
-                raise NotAPartialOrder(f"flats {order[i]} and {y} are mutually comparable")
-
     above = [0] * len(order)
     for y, row in enumerate(below):
         for i in _bits(row):
             above[i] |= 1 << y
+
+    # the lowest bit of a row is the flat first in (rank, id) order
+    for y in ids:
+        py = pos[y]
+        both = below[py] & above[py] & ~(1 << py)
+        if both:
+            x = order[next(_bits(both))]
+            raise NotAPartialOrder(f"flats {x} and {y} are mutually comparable")
 
     full = (1 << len(order)) - 1
     if full not in above:
@@ -192,15 +194,17 @@ def validate_semilattice(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
+    # rows run in (rank, id) order: the flats of dimension at most d start at first[d]
+    first: dict[int, int] = {}
+    for i, fid in enumerate(order):
+        first.setdefault(by_id[fid].dim, i)
     for y in ids:
         py = pos[y]
         dim_y = by_id[y].dim
-        for i in _bits(below[py]):
-            x = order[i]
-            if i != py and by_id[x].dim <= dim_y:
-                raise RankViolation(
-                    f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}"
-                )
+        low = below[py] >> first[dim_y] << first[dim_y] & ~(1 << py)
+        if low:
+            x = order[next(_bits(low))]
+            raise RankViolation(f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}")
 
     # a failing pair has two minimal common upper bounds, so leaving the flat
     # with the largest down-set out of every reach hides none of them

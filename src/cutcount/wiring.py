@@ -56,7 +56,6 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
         raise CapExceeded(f"{w.wires} wires and {len(w.events)} events make {flats} flats,"
                           f" over the budget of {MAX_FLATS}")
     perm = list(range(w.wires))
-    crossed: set[tuple[int, int]] = set()
     groups = []
     for i, e in enumerate(w.events):
         if e.size < 2:
@@ -66,11 +65,10 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
                 f"event {i} covers positions {e.top}..{e.top + e.size - 1} on {w.wires} wires"
             )
         group = perm[e.top: e.top + e.size]
+        # two wires out of index order have crossed once already
         for a, b in combinations(group, 2):
-            pair = (min(a, b), max(a, b))
-            if pair in crossed:
-                raise RepeatedCrossing(f"wires {pair[0]} and {pair[1]} cross twice (event {i})")
-            crossed.add(pair)
+            if a > b:
+                raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
         perm[e.top: e.top + e.size] = reversed(group)
         groups.append(tuple(group))
     checked = WiringDiagram(w.wires, tuple(w.events), tuple(perm))
@@ -107,11 +105,7 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     groups = w.groups
     n = w.wires
     f0 = len(groups)
-    per_wire = [0] * n
-    for g in groups:
-        for wire in g:
-            per_wire[wire] += 1
-    f1 = sum(c + 1 for c in per_wire)
+    f1 = n + sum(len(g) for g in groups)
     f2 = n + 1 + sum(len(g) - 1 for g in groups)
     if f0 - f1 + f2 != 1:
         raise RuntimeError(f"sweep produced f = ({f0}, {f1}, {f2}), which fails f0 - f1 + f2 = 1")

@@ -1,7 +1,9 @@
-"""Reference linear algebra the tests check cutcount against; cutcount
-itself eliminates over integers and never calls it."""
+"""Reference algorithms the tests check cutcount against; cutcount never
+calls them. It eliminates over integers, and reads crossed wires off the
+permutation instead of keeping a set of crossed pairs."""
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
@@ -32,3 +34,22 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
             break
     return rows, rank
 
+
+
+def wiring_sweep(wires: int, events: list[tuple[int, int]]):
+    """(final permutation, groups) of a diagram whose (top, size) events fit
+    its wires, keeping the set of pairs that have crossed. Raises ValueError
+    with cutcount's RepeatedCrossing message at the first pair crossing twice."""
+    perm = list(range(wires))
+    crossed = set()
+    groups = []
+    for i, (top, size) in enumerate(events):
+        group = perm[top: top + size]
+        for a, b in combinations(group, 2):
+            pair = (min(a, b), max(a, b))
+            if pair in crossed:
+                raise ValueError(f"wires {pair[0]} and {pair[1]} cross twice (event {i})")
+            crossed.add(pair)
+        perm[top: top + size] = reversed(group)
+        groups.append(tuple(group))
+    return tuple(perm), tuple(groups)

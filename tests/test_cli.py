@@ -22,10 +22,11 @@ from cutcount.wiring import wiring_from_json
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
 
 
-def run(*args, **kwargs):
+def run(*args, timeout=120, **kwargs):
+    # a hung command fails its test instead of holding the CI job
     return subprocess.run(
         [sys.executable, "-m", "cutcount", *args],
-        capture_output=True, text=True, **kwargs,
+        capture_output=True, text=True, timeout=timeout, **kwargs,
     )
 
 
@@ -195,6 +196,28 @@ class TestGen:
 
     def test_seed_is_required(self):
         assert run("gen", "--kind", "wiring").returncode == 2
+
+    def test_too_few_distinct_hyperplanes(self):
+        # x = -1, 0 and 1 are the only planes with entries in -1..1
+        args = ("gen", "--kind", "hyperplanes", "--dim", "1", "--bound", "1", "--seed", "1")
+        proc = run(*args, "--count", "4")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: --dim 1 --bound 1 give only 3 distinct hyperplanes\n"
+        doc = json.loads(run(*args, "--count", "3").stdout)
+        assert len(doc["hyperplanes"]) == 3
+
+    @pytest.mark.parametrize("wires, crossings, seed, events", [
+        (6, 7, 1, [(0, 3), (3, 2), (4, 2), (3, 2), (2, 2), (1, 2), (3, 2)]),
+        (6, 7, 2, [(0, 2), (2, 3), (1, 2), (4, 2), (2, 2), (3, 2), (4, 2)]),
+        (6, 7, 3, [(4, 2), (2, 3), (4, 2), (0, 3), (3, 2), (2, 2), (1, 2)]),
+        # full diagrams: a triple point stands for three crossings
+        (5, 10, 1, [(0, 3), (3, 2), (2, 2), (3, 2), (1, 2), (0, 2), (2, 2), (1, 2)]),
+        (5, 10, 2, [(0, 2), (2, 3), (1, 2), (2, 2), (3, 2), (0, 2), (1, 2), (2, 2)]),
+        (5, 10, 4, [(0, 2), (2, 2), (1, 2), (2, 3), (1, 2), (0, 2), (1, 2), (2, 2)]),
+    ])
+    def test_generated_wiring_is_pinned(self, wires, crossings, seed, events):
+        w = cli.generate_wiring(wires, crossings, seed)
+        assert [(e.top, e.size) for e in w.events] == events
 
 
 class TestBadInput:

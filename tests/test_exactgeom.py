@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cutcount.errors import DuplicateHyperplane, FlatNotInLattice, ParseError
+from cutcount import exactgeom
+from cutcount.errors import CapExceeded, DuplicateHyperplane, FlatNotInLattice, ParseError
 from cutcount.exactgeom import (
     AffineFlat,
     Arrangement,
@@ -174,6 +175,21 @@ class TestBuildLattice:
         L = build_lattice(A)
         assert sorted(f.dim for f in L.flats.values()) == [0, 1, 1, 1, 2, 2, 2, 3]
         assert f_vector_from_semilattice(L) == [1, 6, 12, 8]
+
+    def test_flat_budget(self, monkeypatch):
+        # three coordinate planes in R^3 have 8 flats
+        A = lines((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+        monkeypatch.setattr(exactgeom, "MAX_FLATS", 8)
+        assert len(build_lattice(A).flats) == 8
+
+        def no_validation(*args):
+            raise AssertionError("saturation ran past the budget")
+
+        monkeypatch.setattr(exactgeom, "MAX_FLATS", 7)
+        monkeypatch.setattr(exactgeom, "validate_semilattice", no_validation)
+        with pytest.raises(CapExceeded) as info:
+            build_lattice(A)
+        assert str(info.value) == "saturation passed the budget of 7 flats"
 
     def test_scaling_leaves_lattice_unchanged(self, generic3):
         scaled = lines((2, 0, 0), (0, -5, 0), (F(1, 3), F(1, 3), F(1, 3)))

@@ -8,7 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement
-from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation
+from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
 from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, restrict
 from cutcount.faces import DEFAULT_CAP, _walk_faces, chambers, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
@@ -30,7 +30,7 @@ from cutcount.wiring import (
     sweep_f_vector,
     validate_wiring,
 )
-from reference import rref
+from reference import rref, wiring_sweep
 
 coefficients = st.integers(-3, 3)
 
@@ -357,6 +357,38 @@ def test_mobius_recursion_on_wiring_lattices(w):
                 assert sum(mobius(L, x, z) for z in L.interval(x, y)) == 0
 
 
+@st.composite
+def event_lists(draw):
+    """(wires, events) with events of size 2-5 that fit the wires, valid or not."""
+    wires = draw(st.integers(2, 8))
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        size = draw(st.integers(2, min(5, wires)))
+        events.append((draw(st.integers(0, wires - size)), size))
+    return wires, events
+
+
+@given(event_lists())
+# wires 1 and 0 meet again at positions 0 and 2 of the last event
+@example((3, [(0, 2), (1, 2), (0, 3)]))
+@settings(max_examples=400, deadline=None)
+def test_validate_wiring_matches_crossed_pair_reference(case):
+    wires, events = case
+    diagram = WiringDiagram(wires, tuple(CrossingEvent(t, s) for t, s in events))
+    try:
+        expected = wiring_sweep(wires, events)
+    except ValueError as exc:
+        try:
+            validate_wiring(diagram)
+        except RepeatedCrossing as got:
+            assert str(got) == str(exc)
+            event("RepeatedCrossing")
+            return
+        raise AssertionError(f"no RepeatedCrossing: {exc}")
+    w = validate_wiring(diagram)
+    assert (w.final_permutation, w.groups) == expected
+
+
 @given(
     st.dictionaries(
         st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -443,19 +475,37 @@ def sparse_relations(draw):
     return 3, [dims[label.index(i)] for i in range(size)], [(label[a], label[b]) for a, b in pairs]
 
 
+def brute_failure(ambient, dims, leq):
+    """The (class, message) of the first order check an input fails, or None:
+    flats named by id order, partners by (rank, id) order."""
+    flats = range(len(dims))
+    by_rank = sorted(flats, key=lambda z: (ambient - dims[z], z))
+    for y in flats:
+        for x in by_rank:
+            if x != y and (x, y) in leq and (y, x) in leq:
+                return NotAPartialOrder, f"flats {x} and {y} are mutually comparable"
+    bottoms = [m for m in flats if all((m, z) in leq for z in flats)]
+    if not bottoms:
+        return NoMinimum, "no flat lies below every other flat"
+    if dims[bottoms[0]] != ambient:
+        return RankViolation, (f"minimum flat {bottoms[0]} has dimension {dims[bottoms[0]]},"
+                               f" expected the ambient {ambient}")
+    for y in flats:
+        for x in by_rank:
+            if x != y and (x, y) in leq and dims[x] <= dims[y]:
+                return RankViolation, f"flat {x} < flat {y} but dimensions are {dims[x]} <= {dims[y]}"
+    return None
+
+
 def check_against_brute_force(relation):
-    """Validation, the MissingMeet message and Möbius values against a
+    """Validation, every error message and Möbius values against a
     brute-force order; returns whether the order passes every check but
     the meet check."""
     ambient, dims, pairs = relation
     size = len(dims)
     flats = range(size)
     leq = brute_order(size, pairs)
-    ordered = all(
-        a == b or ((b, a) not in leq and dims[a] > dims[b]) for a, b in leq
-    )
-    bottoms = [m for m in flats if all((m, z) in leq for z in flats)]
-    other_checks_pass = ordered and len(bottoms) == 1 and dims[bottoms[0]] == ambient
+    failure = brute_failure(ambient, dims, leq)
 
     def has_meet(a, b):
         lower = [c for c in flats if (c, a) in leq and (c, b) in leq]
@@ -469,7 +519,7 @@ def check_against_brute_force(relation):
     try:
         L = validate_semilattice(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
     except MissingMeet as exc:
-        assert other_checks_pass and not meets
+        assert failure is None and not meets
         found = re.fullmatch(
             r"flats (\d+) and (\d+) have no greatest lower bound:"
             r" both are minimal above (\d+) and (\d+)", str(exc))
@@ -479,10 +529,10 @@ def check_against_brute_force(relation):
         assert not has_meet(u1, u2)
         event("MissingMeet")
         return True
-    except (NoMinimum, NotAPartialOrder, RankViolation):
-        assert not other_checks_pass
+    except (NoMinimum, NotAPartialOrder, RankViolation) as exc:
+        assert (type(exc), str(exc)) == failure
         return False
-    assert other_checks_pass and meets
+    assert failure is None and meets
     event("meet-semilattice")
 
     def by_rank(zs):
@@ -507,6 +557,10 @@ def check_against_brute_force(relation):
 @given(relations())
 # two points on the same two lines: the points have no meet
 @example((2, [2, 1, 1, 0, 0], [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]))
+# flat 1 is mutually comparable with 2 and with 3; 2 comes first
+@example((2, [2, 1, 1, 1], [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)]))
+# point 2 and line 3 lie below line 1; 3 comes first, by rank
+@example((2, [2, 1, 0, 1], [(0, 1), (0, 2), (0, 3), (2, 1), (3, 1)]))
 @settings(max_examples=600, deadline=None)
 def test_validation_and_mobius_match_brute_force(relation):
     check_against_brute_force(relation)
