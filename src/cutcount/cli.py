@@ -26,6 +26,7 @@ from .exactgeom import (
 )
 from .faces import DEFAULT_CAP, enumerate_faces, f_vector_oracle, faces_to_json
 from .poset import (
+    MAX_FLATS,
     f_from_mobius,
     mobius_polynomial,
     semilattice_from_json,
@@ -167,8 +168,9 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     rng = random.Random(seed)
     perm = list(range(wires))
     events: list[CrossingEvent] = []
-    # two wires have crossed exactly when they are out of index order
-    while len(events) < crossings:
+    # two wires have crossed exactly when they are out of index order; drawing
+    # stops one flat past the budget, which validate_wiring then refuses
+    while len(events) < crossings and wires + len(events) < MAX_FLATS:
         simple = [t for t in range(wires - 1) if perm[t] < perm[t + 1]]
         triple = [t for t in range(wires - 2) if perm[t] < perm[t + 1] < perm[t + 2]]
         if not simple:

@@ -125,8 +125,8 @@ def _fm_point(rows, nvars: int):
 
 
 class _Systems:
-    """Sign systems of one arrangement over int: its integer rows, a chart
-    per flat keyed by its support, flats looked up by zero set. An ambient
+    """Sign systems of one arrangement over int: its integer rows, and the chart
+    where each set of hyperplanes meets, a flat's support keying its own. An ambient
     dimension above MAX_AMBIENT_DIM is refused up front. `_dot` of a row
     (normal..., offset) with a point or direction stops at the shorter
     vector."""
@@ -138,22 +138,21 @@ class _Systems:
             )
         self.A = A
         self.planes = A.rows
-        self._by_zero: dict[frozenset[int], _Chart | None] = {}
-        self._by_support: dict[frozenset[int], _Chart] = {}
+        self._charts: dict[frozenset[int], _Chart | None] = {}
 
     def chart(self, zero: frozenset[int]) -> _Chart | None:
         """Chart of the flat where the hyperplanes in `zero` meet; None if
         they do not."""
-        if zero not in self._by_zero:
+        if zero not in self._charts:
             flat = intersect(self.A, zero)
             chart = None
             if flat is not None:
-                # a maximal support names exactly one flat
-                chart = self._by_support.get(flat.support)
+                # a maximal support names exactly one flat, and meets in it
+                chart = self._charts.get(flat.support)
                 if chart is None:
-                    chart = self._by_support[flat.support] = _Chart(flat, self.A.ambient_dim)
-            self._by_zero[zero] = chart
-        return self._by_zero[zero]
+                    chart = self._charts[flat.support] = _Chart(flat, self.A.ambient_dim)
+            self._charts[zero] = chart
+        return self._charts[zero]
 
     def solve(self, chart: _Chart, strict) -> tuple[tuple[int, ...], int] | None:
         """A point of the chart's flat strictly on side s of hyperplane j
@@ -217,12 +216,11 @@ def _faces(systems: _Systems, m: int):
     signs = [0] * m
     strict: list[tuple[int, int]] = []
 
-    def rec(i: int, zero: frozenset[int], chart: _Chart, w):
+    def rec(i: int, chart: _Chart, w):
         if i == m:
             yield tuple(signs), chart.flat, w
             return
-        zero_i = zero | {i}
-        cut = systems.chart(zero_i)
+        cut = systems.chart(chart.flat.support | {i})  # the support meets in the flat
         plane = systems.planes[i]
         X, D = w
         if i in chart.flat.support:
@@ -249,14 +247,14 @@ def _faces(systems: _Systems, m: int):
             signs[i] = s
             if s:
                 strict.append((i, s))
-                yield from rec(i + 1, zero, chart, point)
+                yield from rec(i + 1, chart, point)
                 strict.pop()
             else:
-                yield from rec(i + 1, zero_i, cut, point)
+                yield from rec(i + 1, cut, point)
 
     root = systems.chart(frozenset())
     origin = ((0,) * systems.A.ambient_dim, 1)
-    yield from rec(0, frozenset(), root, origin)
+    yield from rec(0, root, origin)
 
 
 def enumerate_faces(

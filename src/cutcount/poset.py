@@ -160,7 +160,8 @@ def validate_semilattice(
                 raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {c}")
         below[pos[b]] |= 1 << pos[a]
 
-    # reflexive-transitive closure over the bitmask rows
+    # closure over the bitmask rows; the last pass walks each closed row into `above`
+    above = [0] * len(order)
     changed = True
     while changed:
         changed = False
@@ -168,14 +169,10 @@ def validate_semilattice(
             acc = row
             for i in _bits(row):
                 acc |= below[i]
+                above[i] |= 1 << y
             if acc != row:
                 below[y] = acc
                 changed = True
-
-    above = [0] * len(order)
-    for y, row in enumerate(below):
-        for i in _bits(row):
-            above[i] |= 1 << y
 
     # the lowest bit of a row is the flat first in (rank, id) order
     for y in ids:
@@ -233,12 +230,9 @@ def _strict_pairs(L: Semilattice) -> list[tuple[int, int]]:
 
 def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
     # all mu(x, z) for z >= x, by the interval recursion; keyed by position
-    row = {}
+    row = {x: 1}
     up = L._above[x]
-    for z in _bits(up):
-        if z == x:
-            row[z] = 1
-            continue
+    for z in _bits(up ^ 1 << x):
         total = 0
         for i in _bits(up & L._below[z] & ~(1 << z)):
             total += row[i]
@@ -332,8 +326,7 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     rk_arr = L.rank
     ranks = L._ranks
     terms: dict[tuple[int, int], int] = {}
-    for x in L.ids():
-        i = L._pos[x]
+    for i in range(len(ranks)):
         for z, v in _mu_row(L, i).items():
             key = (ranks[i], rk_arr - ranks[z])
             terms[key] = terms.get(key, 0) + v
@@ -397,7 +390,7 @@ def upper_set(L: Semilattice, x: int) -> Semilattice:
             support = frozenset(support - root.support)
         new_flats.append(Flat(fy.id, fy.dim, support, fy.payload))
     # the flats above x form an up-set, so a >= x puts every b >= a in it too
-    pairs = [(a, b) for a, b in _strict_pairs(L) if L.leq(x, a)]
+    pairs = [(a, b) for a in keep for b in L.above(a)]
     return validate_semilattice(root.dim, new_flats, pairs)
 
 

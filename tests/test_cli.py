@@ -197,6 +197,13 @@ class TestGen:
     def test_seed_is_required(self):
         assert run("gen", "--kind", "wiring").returncode == 2
 
+    def test_wiring_draws_stop_at_the_flat_budget(self):
+        # drawing ends one flat past the budget instead of at the last crossing
+        proc = run("gen", "--kind", "wiring", "--wires", "300", "--seed", "1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: 300 wires and 32468 events make 32769 flats,"
+                               f" over the budget of {MAX_FLATS}\n")
+
     def test_too_few_distinct_hyperplanes(self):
         # x = -1, 0 and 1 are the only planes with entries in -1..1
         args = ("gen", "--kind", "hyperplanes", "--dim", "1", "--bound", "1", "--seed", "1")
