@@ -32,7 +32,6 @@ from .exactgeom import (
 )
 from .faces import (
     FaceRecord,
-    chambers,
     enumerate_faces,
     f_vector_oracle,
     faces_to_json,
@@ -42,10 +41,8 @@ from .poset import (
     BiPolynomial,
     Flat,
     Semilattice,
-    chamber_count,
     f_from_mobius,
     f_vector_from_semilattice,
-    mobius,
     mobius_polynomial,
     semilattice_from_json,
     semilattice_to_json,

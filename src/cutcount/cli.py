@@ -138,7 +138,25 @@ def cmd_verify(args) -> int:
 
 
 def generate_arrangement(dim: int, count: int, bound: int, seed: int) -> Arrangement:
-    """Seeded random arrangement; zero normals and duplicates are redrawn."""
+    """Seeded random arrangement; zero normals and duplicates are redrawn.
+
+    Raises ParamError on parameters no draw can meet, before drawing.
+    """
+    if dim < 1:
+        raise ParamError("--dim must be at least 1")
+    if count < 0:
+        raise ParamError("--count must be nonnegative")
+    if bound < 1:
+        raise ParamError("--bound must be at least 1")
+    # over half of all p, q <= bound are coprime: over bound^2 values, bound^(2 dim) planes
+    if count > bound ** (2 * dim):
+        # the draw space is finite: a plane is the rest of a drawn vector over its lead c > 0
+        values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
+        space = (tuple(v / c for v in rest) for m in range(dim, 0, -1)
+                 for c in [v for v in values if v > 0] for rest in product(values, repeat=m))
+        seen = set()
+        if not any(seen.add(plane) or len(seen) == count for plane in space):
+            raise ParamError(f"--dim {dim} --bound {bound} give only {len(seen)} distinct hyperplanes")
     rng = random.Random(seed)
     planes: list[Hyperplane] = []
     seen = set()
@@ -193,21 +211,6 @@ def cmd_gen(args) -> int:
         dim = 2 if args.dim is None else args.dim
         count = 4 if args.count is None else args.count
         bound = 5 if args.bound is None else args.bound
-        if dim < 1:
-            raise ParamError("--dim must be at least 1")
-        if count < 0:
-            raise ParamError("--count must be nonnegative")
-        if bound < 1:
-            raise ParamError("--bound must be at least 1")
-        # over half of all p, q <= bound are coprime: over bound^2 values, bound^(2 dim) planes
-        if count > bound ** (2 * dim):
-            # the draw space is finite: a plane is the rest of a drawn vector over its lead c > 0
-            values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
-            planes = (tuple(v / c for v in rest) for m in range(dim, 0, -1)
-                      for c in [v for v in values if v > 0] for rest in product(values, repeat=m))
-            seen = set()
-            if not any(seen.add(plane) or len(seen) == count for plane in planes):
-                raise ParamError(f"--dim {dim} --bound {bound} give only {len(seen)} distinct hyperplanes")
         doc = arrangement_to_json(generate_arrangement(dim, count, bound, args.seed))
     else:
         if args.dim is not None or args.count is not None or args.bound is not None:

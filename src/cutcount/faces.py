@@ -276,11 +276,6 @@ def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:
     return f
 
 
-def chambers(A: Arrangement, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
-    """Sign vectors of the full-dimensional faces (no zero entries)."""
-    return [signs for signs, _, _ in _walk_faces(A, cap) if all(signs)]
-
-
 def faces_to_json(A: Arrangement, records: list[FaceRecord]) -> dict:
     """Report document: f-vector plus one entry per face."""
     f = [0] * (A.ambient_dim + 1)

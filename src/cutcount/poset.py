@@ -101,11 +101,6 @@ class Semilattice:
         """Ids of flats y >= x, ordered by (rank, id)."""
         return [self._order[i] for i in _bits(self._above[self._position(x)])]
 
-    def interval(self, x: int, y: int) -> list[int]:
-        """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
-        i, j = self._position(x), self._position(y)
-        return [self._order[k] for k in _bits(self._above[i] & self._below[j])]
-
 
 def validate_semilattice(
     ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]
@@ -222,30 +217,6 @@ def validate_semilattice(
     return Semilattice(n, by_id, order, pos, below, above)
 
 
-def _strict_pairs(L: Semilattice) -> list[tuple[int, int]]:
-    # every (a, b) with a < b, read off the principal down-set rows
-    order = L._order
-    return [(order[i], order[y]) for y, row in enumerate(L._below) for i in _bits(row) if i != y]
-
-
-def _mu_row(L: Semilattice, x: int) -> dict[int, int]:
-    # all mu(x, z) for z >= x, by the interval recursion; keyed by position
-    row = {x: 1}
-    up = L._above[x]
-    for z in _bits(up ^ 1 << x):
-        total = 0
-        for i in _bits(up & L._below[z] & ~(1 << z)):
-            total += row[i]
-        row[z] = -total
-    return row
-
-
-def mobius(L: Semilattice, x: int, y: int) -> int:
-    """Möbius value mu(x, y); zero when x is not below y."""
-    # the row is keyed by the positions of the flats above x
-    return _mu_row(L, L._position(x)).get(L._position(y), 0)
-
-
 class BiPolynomial:
     """Integer-coefficient polynomial in x and y, stored as a sparse term map.
 
@@ -323,14 +294,23 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     Incomparable pairs contribute zero; the y-exponent is normalized by the
     largest rank actually present, not the ambient dimension.
     """
-    rk_arr = L.rank
+    # S(X) = sum of mu(X, Y) y^(rk - rk Y) over Y >= X, as y-coefficients, by the
+    # dual recursion S(X) = y^(rk - rk X) - sum of S(Z) over Z > X (Rota 1964);
+    # every Z > X comes later in (rank, id) order, so positions run last to first
+    rk = L.rank
     ranks = L._ranks
-    terms: dict[tuple[int, int], int] = {}
-    for i in range(len(ranks)):
-        for z, v in _mu_row(L, i).items():
-            key = (ranks[i], rk_arr - ranks[z])
-            terms[key] = terms.get(key, 0) + v
-    return BiPolynomial(terms)
+    zero = [0] * (rk + 1)
+    S: list = [None] * len(ranks)
+    for i in range(len(ranks) - 1, -1, -1):
+        s = [-sum(col) for col in zip(zero, *[S[z] for z in _bits(L._above[i] ^ 1 << i)])]
+        s[rk - ranks[i]] += 1
+        S[i] = s
+    # M(x, y) is the sum of x^rk(X) S(X): one column sum per rank
+    by_rank: list[list] = [[] for _ in range(rk + 1)]
+    for r, s in zip(ranks, S):
+        by_rank[r].append(s)
+    return BiPolynomial({(r, b): sum(col) for r, rows in enumerate(by_rank)
+                         for b, col in enumerate(zip(zero, *rows))})
 
 
 def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:
@@ -363,11 +343,6 @@ def f_vector_from_semilattice(L: Semilattice) -> list[int]:
     f = f_from_mobius(mobius_polynomial(L), L.rank)
     n = L.ambient_dim
     return [f.coefficient(n - i) for i in range(n + 1)]
-
-
-def chamber_count(L: Semilattice) -> int:
-    """Number of full-dimensional cells: the last entry of the f-vector."""
-    return f_vector_from_semilattice(L)[-1]
 
 
 def upper_set(L: Semilattice, x: int) -> Semilattice:
@@ -414,5 +389,7 @@ def semilattice_from_json(doc: dict) -> Semilattice:
 def semilattice_to_json(L: Semilattice) -> dict:
     """JSON document form; `leq` lists the full strict order, sorted."""
     flats = [{"id": fid, "dim": L.flats[fid].dim} for fid in L.ids()]
-    leq = sorted([a, b] for a, b in _strict_pairs(L))
+    # every strict pair (a, b), read off the principal down-set rows
+    order = L._order
+    leq = sorted([order[i], order[y]] for y, row in enumerate(L._below) for i in _bits(row) if i != y)
     return {"kind": "semilattice", "ambient_dim": L.ambient_dim, "flats": flats, "leq": leq}

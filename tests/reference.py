@@ -1,9 +1,13 @@
 """Reference algorithms the tests check cutcount against; cutcount never
-calls them. It eliminates over integers, and reads crossed wires off the
-permutation instead of keeping a set of crossed pairs."""
+calls them. It eliminates over integers, reads crossed wires off the
+permutation instead of keeping a set of crossed pairs, and sums the Möbius
+polynomial by the dual recursion instead of walking intervals."""
 
 from fractions import Fraction
 from itertools import combinations
+
+from cutcount.faces import DEFAULT_CAP, _walk_faces
+from cutcount.poset import BiPolynomial, f_vector_from_semilattice
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
@@ -53,3 +57,44 @@ def wiring_sweep(wires: int, events: list[tuple[int, int]]):
         perm[top: top + size] = reversed(group)
         groups.append(tuple(group))
     return tuple(perm), tuple(groups)
+
+
+def interval(L, x: int, y: int) -> list[int]:
+    """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
+    return [z for z in L.above(x) if L.leq(z, y)]
+
+
+def mobius_row(L, x: int) -> dict[int, int]:
+    """mu(x, z) for every z >= x, by the interval recursion
+    mu(x, z) = -sum of mu(x, w) over x <= w < z; L.above lists each w < z
+    before z."""
+    row: dict[int, int] = {}
+    for z in L.above(x):
+        row[z] = 1 if z == x else -sum(v for w, v in row.items() if L.leq(w, z))
+    return row
+
+
+def mobius(L, x: int, y: int) -> int:
+    """Möbius value mu(x, y); zero when x is not below y."""
+    return mobius_row(L, x)[y] if L.leq(x, y) else 0
+
+
+def mobius_sum(mu: dict[tuple[int, int], int], rank: dict[int, int]) -> BiPolynomial:
+    """Sum of mu[x, y] x^rank[x] y^(r - rank[y]) over the pairs of `mu`,
+    with r the largest rank."""
+    top = max(rank.values())
+    terms: dict[tuple[int, int], int] = {}
+    for (x, y), v in mu.items():
+        key = (rank[x], top - rank[y])
+        terms[key] = terms.get(key, 0) + v
+    return BiPolynomial(terms)
+
+
+def chambers(A, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
+    """Sign vectors of the full-dimensional faces (no zero entries)."""
+    return [signs for signs, _, _ in _walk_faces(A, cap) if all(signs)]
+
+
+def chamber_count(L) -> int:
+    """Number of full-dimensional cells: the last entry of the f-vector."""
+    return f_vector_from_semilattice(L)[-1]

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cutcount import cli
-from cutcount.errors import ParseError
+from cutcount.errors import ParamError, ParseError
 from cutcount.faces import MAX_AMBIENT_DIM
 from cutcount.poset import MAX_FLATS, semilattice_from_json
 from cutcount.wiring import wiring_from_json
@@ -212,6 +212,12 @@ class TestGen:
         assert proc.stderr == "error: --dim 1 --bound 1 give only 3 distinct hyperplanes\n"
         doc = json.loads(run(*args, "--count", "3").stdout)
         assert len(doc["hyperplanes"]) == 3
+
+    def test_generator_refuses_an_unreachable_count(self):
+        # called directly, not through `gen`: the draws would never reach 4 planes
+        with pytest.raises(ParamError) as info:
+            cli.generate_arrangement(1, 4, 1, 0)
+        assert str(info.value) == "--dim 1 --bound 1 give only 3 distinct hyperplanes"
 
     @pytest.mark.parametrize("wires, crossings, seed, events", [
         (6, 7, 1, [(0, 3), (3, 2), (4, 2), (3, 2), (2, 2), (1, 2), (3, 2)]),

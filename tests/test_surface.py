@@ -16,10 +16,10 @@ def test_public_surface():
         "FlatNotInLattice", "Hyperplane", "MissingMeet", "NegativeCoefficient", "NoMinimum",
         "NotAPartialOrder", "OutOfRange", "ParamError", "ParseError", "RankViolation",
         "RepeatedCrossing", "Semilattice", "UnknownFlat", "UnsupportedKind", "WiringDiagram",
-        "arrangement_from_json", "arrangement_to_json", "build_lattice", "chamber_count",
-        "chambers", "enumerate_faces", "f_from_mobius", "f_vector_from_semilattice",
+        "arrangement_from_json", "arrangement_to_json", "build_lattice",
+        "enumerate_faces", "f_from_mobius", "f_vector_from_semilattice",
         "f_vector_oracle", "faces_to_json", "feasible", "intersect", "lattice_from_wiring",
-        "mobius", "mobius_polynomial", "parse_rational", "restrict", "semilattice_from_json",
+        "mobius_polynomial", "parse_rational", "restrict", "semilattice_from_json",
         "semilattice_to_json", "sweep_f_vector", "upper_set", "validate_semilattice",
         "validate_wiring", "wiring_from_json", "wiring_to_json",
     ]
