@@ -9,10 +9,12 @@ ended by SIGPIPE) when the reader closes standard output early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -186,20 +188,34 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     rng = random.Random(seed)
     perm = list(range(wires))
     events: list[CrossingEvent] = []
-    # two wires have crossed exactly when they are out of index order; drawing
-    # stops one flat past the budget, which validate_wiring then refuses
-    while len(events) < crossings and wires + len(events) < MAX_FLATS:
-        simple = [t for t in range(wires - 1) if perm[t] < perm[t + 1]]
-        triple = [t for t in range(wires - 2) if perm[t] < perm[t + 1] < perm[t + 2]]
-        if not simple:
-            break
+    # two wires have crossed exactly when they are out of index order; `simple`
+    # and `triple` list, in increasing order, the positions starting an uncrossed
+    # pair or triple, so rng.choice sees what a full rescan would build
+    simple = list(range(wires - 1))
+    triple = list(range(wires - 2))
+    # drawing stops one flat past the budget, which validate_wiring then refuses
+    while simple and len(events) < crossings and wires + len(events) < MAX_FLATS:
         if triple and rng.random() < 0.15:
             top, size = rng.choice(triple), 3
         else:
             top, size = rng.choice(simple), 2
         perm[top: top + size] = reversed(perm[top: top + size])
         events.append(CrossingEvent(top, size))
+        # only a pair or triple meeting the reversed block top ... top + size - 1 changes
+        for t in range(max(top - 2, 0), top + size):
+            _mark(simple, t, t < wires - 1 and perm[t] < perm[t + 1])
+            _mark(triple, t, t < wires - 2 and perm[t] < perm[t + 1] < perm[t + 2])
     return validate_wiring(WiringDiagram(wires, tuple(events)))
+
+
+def _mark(positions: list[int], t: int, present: bool) -> None:
+    """Insert t into or delete it from the sorted list `positions`."""
+    k = bisect_left(positions, t)
+    if k < len(positions) and positions[k] == t:
+        if not present:
+            del positions[k]
+    elif present:
+        positions.insert(k, t)
 
 
 def cmd_gen(args) -> int:
@@ -229,7 +245,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse looks up
+    sys.stdout and sys.stderr when it prints, and every cmd_* function looks
+    up the names it calls as module globals when it runs."""
     parser = argparse.ArgumentParser(
         prog="cutcount",
         description="Intersection lattices, Möbius polynomials, and exact face counts",

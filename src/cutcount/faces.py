@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .errors import CapExceeded, DimensionMismatch
+from .errors import CapExceeded, DimensionMismatch, FlatNotInLattice
 from .exactgeom import Arrangement, _Chart, _dot, _reduced, build_lattice, intersect
 from .poset import Semilattice
 
@@ -264,7 +264,13 @@ def enumerate_faces(
     walk = _walk_faces(A, cap)
     L = lattice if lattice is not None else build_lattice(A)
     by_support = {L.flats[fid].support: fid for fid in L.ids()}
-    return [FaceRecord(signs, flat.dim, by_support[flat.support]) for signs, flat, _ in walk]
+    records = []
+    for signs, flat, _ in walk:
+        fid = by_support.get(flat.support)
+        if fid is None:
+            raise FlatNotInLattice(f"the lattice has no flat with support {sorted(flat.support)}")
+        records.append(FaceRecord(signs, flat.dim, fid))
+    return records
 
 
 def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:

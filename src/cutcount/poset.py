@@ -299,18 +299,23 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     # every Z > X comes later in (rank, id) order, so positions run last to first
     rk = L.rank
     ranks = L._ranks
-    zero = [0] * (rk + 1)
+    # one column per rank present, not per rank up to rk: two flats of dims 10^6
+    # and 0 make two columns; column c holds the coefficient of y^(rk - levels[c])
+    levels = list(dict.fromkeys(ranks))
+    column = {r: c for c, r in enumerate(levels)}
+    cols = [column[r] for r in ranks]
+    zero = [0] * len(levels)
     S: list = [None] * len(ranks)
     for i in range(len(ranks) - 1, -1, -1):
         s = [-sum(col) for col in zip(zero, *[S[z] for z in _bits(L._above[i] ^ 1 << i)])]
-        s[rk - ranks[i]] += 1
+        s[cols[i]] += 1
         S[i] = s
     # M(x, y) is the sum of x^rk(X) S(X): one column sum per rank
-    by_rank: list[list] = [[] for _ in range(rk + 1)]
-    for r, s in zip(ranks, S):
-        by_rank[r].append(s)
-    return BiPolynomial({(r, b): sum(col) for r, rows in enumerate(by_rank)
-                         for b, col in enumerate(zip(zero, *rows))})
+    by_rank: list[list] = [[] for _ in levels]
+    for c, s in zip(cols, S):
+        by_rank[c].append(s)
+    return BiPolynomial({(r, rk - levels[c]): sum(col) for r, rows in zip(levels, by_rank)
+                         for c, col in enumerate(zip(zero, *rows))})
 
 
 def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:

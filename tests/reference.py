@@ -1,8 +1,10 @@
 """Reference algorithms the tests check cutcount against; cutcount never
 calls them. It eliminates over integers, reads crossed wires off the
-permutation instead of keeping a set of crossed pairs, and sums the Möbius
+permutation instead of keeping a set of crossed pairs, updates its wiring
+draw's candidates locally instead of rescanning, and sums the Möbius
 polynomial by the dual recursion instead of walking intervals."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +59,35 @@ def wiring_sweep(wires: int, events: list[tuple[int, int]]):
         perm[top: top + size] = reversed(group)
         groups.append(tuple(group))
     return tuple(perm), tuple(groups)
+
+
+def draw_wiring(wires: int, crossings: int, seed: int) -> list[tuple[int, int]]:
+    """The (top, size) events of cutcount's seeded wiring draw, by the rule
+    that keeps the set of crossed pairs and rescans every position per draw:
+    an event is drawn from the pairs, or with probability 0.15 the triples,
+    of adjacent wires no two of which have crossed. There is no flat budget."""
+    rng = random.Random(seed)
+    perm = list(range(wires))
+    crossed = set()
+    events = []
+
+    def fresh(*group):
+        return all((min(a, b), max(a, b)) not in crossed for a, b in combinations(group, 2))
+
+    while len(events) < crossings:
+        simple = [t for t in range(wires - 1) if fresh(*perm[t: t + 2])]
+        triple = [t for t in range(wires - 2) if fresh(*perm[t: t + 3])]
+        if not simple and not triple:
+            break
+        if triple and (not simple or rng.random() < 0.15):
+            top, size = rng.choice(triple), 3
+        else:
+            top, size = rng.choice(simple), 2
+        group = perm[top: top + size]
+        crossed.update((min(a, b), max(a, b)) for a, b in combinations(group, 2))
+        perm[top: top + size] = reversed(group)
+        events.append((top, size))
+    return events
 
 
 def interval(L, x: int, y: int) -> list[int]:

@@ -18,6 +18,7 @@ from cutcount.errors import ParamError, ParseError
 from cutcount.faces import MAX_AMBIENT_DIM
 from cutcount.poset import MAX_FLATS, semilattice_from_json
 from cutcount.wiring import wiring_from_json
+from reference import draw_wiring
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
 
@@ -49,6 +50,18 @@ def test_golden_transcript(monkeypatch, case):
     monkeypatch.chdir(pathlib.Path(__file__).parent / "fixtures")
     code, out, err = run_in_process(expected["argv"])
     assert (code, out, err) == (expected["exit"], expected["stdout"], expected["stderr"])
+
+
+def test_parser_is_reused_across_calls(monkeypatch, fixture_path):
+    # one process, one parser: each call still prints what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")
+    usage_error = ["verify"]
+    sequence = [usage_error, ["--cap", "-1", "verify", "x.json"], ["--help"],
+                ["verify", fixture_path("axes.json"), "--json"], usage_error]
+    for argv in sequence:
+        proc = run(*argv)
+        assert run_in_process(argv) == (proc.returncode, proc.stdout, proc.stderr)
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestMobius:
@@ -199,10 +212,24 @@ class TestGen:
 
     def test_wiring_draws_stop_at_the_flat_budget(self):
         # drawing ends one flat past the budget instead of at the last crossing
-        proc = run("gen", "--kind", "wiring", "--wires", "300", "--seed", "1")
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == ("error: 300 wires and 32468 events make 32769 flats,"
-                               f" over the budget of {MAX_FLATS}\n")
+        for wires, events in ((300, 32468), (1000, 31768)):
+            proc = run("gen", "--kind", "wiring", "--wires", str(wires), "--seed", "1")
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == (f"error: {wires} wires and {events} events make 32769 flats,"
+                                   f" over the budget of {MAX_FLATS}\n")
+
+    @pytest.mark.parametrize("wires", range(1, 25))
+    def test_generated_wiring_follows_the_crossed_set_rule(self, wires):
+        most = wires * (wires - 1) // 2
+        for crossings in (0, 1, 5, 20, most):
+            for seed in range(1, 5):
+                events = cli.generate_wiring(wires, crossings, seed).events
+                assert [(e.top, e.size) for e in events] == draw_wiring(wires, crossings, seed)
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_full_60_wire_diagram_follows_the_crossed_set_rule(self, seed):
+        events = cli.generate_wiring(60, 1770, seed).events
+        assert [(e.top, e.size) for e in events] == draw_wiring(60, 1770, seed)
 
     def test_too_few_distinct_hyperplanes(self):
         # x = -1, 0 and 1 are the only planes with entries in -1..1
@@ -304,6 +331,22 @@ class TestBadInput:
         code, out, err = run_in_process([command, str(path)])
         assert (code, err) == (0, "")
         assert out == '{"terms": [{"x": 0, "y": 0, "coeff": "1"}], "pretty": "1"}\n'
+
+    @pytest.mark.parametrize("command, terms, pretty", [
+        ("mobius", [(10**6, 0, "1"), (0, 10**6, "1"), (0, 0, "-1")], "x^1000000 + y^1000000 - 1"),
+        ("fpoly", [(10**6, 0, "1")], "x^1000000"),
+    ])
+    def test_two_flats_of_huge_rank(self, tmp_path, command, terms, pretty):
+        # the whole space and one point of it: two ranks, 0 and 10^6, and no others
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "semilattice", "ambient_dim": 10**6,
+                                    "flats": [{"id": 0, "dim": 10**6}, {"id": 1, "dim": 0}],
+                                    "leq": [[0, 1]]}))
+        code, out, err = run_in_process([command, str(path)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [(t["x"], t["y"], t["coeff"]) for t in doc["terms"]] == terms
+        assert doc["pretty"] == pretty
 
     @pytest.mark.parametrize("command, doc", [
         ("verify", {"kind": "wiring", "wires": 10**9, "events": []}),

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from cutcount.errors import CapExceeded, DimensionMismatch
+from cutcount.errors import CapExceeded, DimensionMismatch, FlatNotInLattice
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
 from cutcount.faces import (
     enumerate_faces,
@@ -123,6 +123,13 @@ class TestEnumerate:
                 tally[r.flat_id] += 1
             for fid in L.ids():
                 assert tally[fid] == chamber_count(upper_set(L, fid))
+
+    def test_lattice_of_another_arrangement(self, axes):
+        # two parallel lines never meet, so the axes' origin has no flat there
+        parallel = build_lattice(lines((1, 0, 0), (1, 0, 1)))
+        with pytest.raises(FlatNotInLattice) as info:
+            enumerate_faces(axes, parallel)
+        assert str(info.value) == "the lattice has no flat with support [0, 1]"
 
     def test_cap(self, axes):
         with pytest.raises(CapExceeded):

@@ -23,7 +23,7 @@ from cutcount.poset import (
     upper_set,
     validate_semilattice,
 )
-from reference import chamber_count, interval, mobius
+from reference import chamber_count, interval, mobius, mobius_sum
 
 
 def make(ambient, dims, pairs, supports=None):
@@ -207,6 +207,15 @@ class TestMobiusPolynomial:
         L = make(2, [2, 1, 1], [(0, 1), (0, 2)])
         assert L.rank == 1
         assert str(mobius_polynomial(L)) == "2x + y - 2"
+
+    def test_sparse_ranks_match_the_reference_sum(self):
+        # ranks 0, 5 and 9 only: the y-exponents skip the ranks no flat has
+        dims = [9, 4, 4, 0]
+        L = make(9, dims, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        mu = {(x, y): mobius(L, x, y) for x in L.ids() for y in L.ids() if L.leq(x, y)}
+        expected = mobius_sum(mu, {z: 9 - d for z, d in enumerate(dims)})
+        assert mobius_polynomial(L) == expected
+        assert str(expected) == "x^9 + 2x^5y^4 + y^9 - 2x^5 - 2y^4 + 1"
 
     def test_atom_count_coefficient(self, concurrent):
         # coefficient of x^0 y^(rk-1) counts atoms negatively
