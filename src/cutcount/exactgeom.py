@@ -1,12 +1,12 @@
 """Exact rational hyperplane arrangements: flats, intersection semilattices,
-and restrictions. Each hyperplane is one primitive integer row, eliminated
-without fractions; a flat's canonical equations are fractions.Fraction.
+and restrictions. A hyperplane is one primitive integer row and a flat is
+its integer echelon system, both eliminated without fractions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -92,20 +92,22 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """A nonempty intersection of hyperplanes, identified by its equations.
+    """A nonempty intersection of hyperplanes, identified by its integer
+    echelon system: (pivot column, primitive integer row) pairs in pivot
+    order, each row (normal entries then right-hand side) positive in its
+    pivot column and zero in the others. That is the primitive multiple of
+    the unique reduced echelon form, so flats are equal exactly when their
+    systems are. `support` holds every hyperplane of the arrangement that
+    contains the flat."""
 
-    `equations` is the canonical reduced echelon form of the augmented
-    system (each row: normal entries then right-hand side), so two flats
-    are equal exactly when their equation tuples are. `support` lists every
-    hyperplane of the owning arrangement that contains the flat. `system`
-    is the integer echelon system the equations are read from, set on the
-    flats this module makes and None on one built by hand.
-    """
-
-    equations: tuple[tuple[Fraction, ...], ...]
+    system: tuple[tuple[int, tuple[int, ...]], ...]
     dim: int
-    support: frozenset[int] = field(default_factory=frozenset)
-    system: list | None = field(default=None, init=False, repr=False, compare=False)
+    support: frozenset[int] = frozenset()
+
+    @property
+    def equations(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The canonical reduced echelon form: each row over its pivot entry."""
+        return tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in self.system)
 
 
 def _lead(row) -> int | None:
@@ -145,43 +147,30 @@ def _extend(system, row):
             e = tuple(x // g for x in e)
         out.append((p, e))
     out.sort()  # pivots are distinct, so only they are compared
-    return out
-
-
-def _system(n: int, rows):
-    """Integer echelon system of the given rows in R^n, or None when they
-    have no common solution: a list of (pivot column, integer row) pairs,
-    each pivot entry positive and every other row zero in its column."""
-    system: list = []
-    for row in rows:
-        row = _reduce(system, row)
-        lead = _lead(row)
-        if lead == n:
-            return None
-        if lead is not None:
-            system = _extend(system, row)
-    return system
-
-
-def _flat(system, n: int, support: frozenset[int]) -> AffineFlat:
-    # the canonical equations: each integer row over its pivot entry
-    equations = tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in system)
-    flat = AffineFlat(equations, n - len(system), support)
-    object.__setattr__(flat, "system", system)
-    return flat
+    return tuple(out)
 
 
 def intersect(A: Arrangement, support) -> AffineFlat | None:
     """Common solution flat of the chosen hyperplanes, or None if empty.
 
     The result's support is maximal: every hyperplane of A containing the
-    solution set is included, not just the indices asked for.
+    solution set is included, not just the indices asked for. Each index
+    must be an int in range(len(A)); anything else raises ValueError.
     """
-    system = _system(A.ambient_dim, [A.rows[j] for j in sorted(set(support))])
-    if system is None:
-        return None
+    chosen = set(support)
+    for j in chosen:
+        if type(j) is not int or not 0 <= j < len(A.rows):
+            raise ValueError(f"no hyperplane has index {j!r}; the arrangement has {len(A.rows)}")
+    system: tuple = ()
+    for j in sorted(chosen):
+        row = _reduce(system, A.rows[j])
+        lead = _lead(row)
+        if lead == A.ambient_dim:
+            return None  # the row contradicts the system: no common solution
+        if lead is not None:
+            system = _extend(system, row)
     full = frozenset(j for j, row in enumerate(A.rows) if not any(_reduce(system, row)))
-    return _flat(system, A.ambient_dim, full)
+    return AffineFlat(system, A.ambient_dim - len(system), full)
 
 
 def build_lattice(A: Arrangement) -> Semilattice:
@@ -192,7 +181,7 @@ def build_lattice(A: Arrangement) -> Semilattice:
     reduced against it once. Hyperplanes with equal reduced rows meet the
     flat in the same flat, which gives each meet its maximal support. A
     nonempty flat is the intersection of its maximal support, so flats are
-    keyed by support bitmask; canonical equations are made for new ones.
+    keyed by support bitmask.
     Every meet (f, f meet H), new or known, is an order pair; these cover
     pairs close to support containment. Each is cross-checked once: every
     equation of f reduces to zero against the smaller flat's system.
@@ -220,7 +209,7 @@ def build_lattice(A: Arrangement) -> Semilattice:
                 if cut not in known:
                     if len(known) == MAX_FLATS:
                         raise CapExceeded(f"saturation passed the budget of {MAX_FLATS} flats")
-                    known[cut] = _flat(_extend(system, row), n, frozenset(_bits(cut)))
+                    known[cut] = AffineFlat(_extend(system, row), known[mask].dim - 1, frozenset(_bits(cut)))
                     fresh.append(cut)
                 sub = known[cut].system
                 if any(any(_reduce(sub, e)) for _, e in system):
@@ -296,22 +285,24 @@ class _Chart:
 def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
     """Semilattice of the arrangement induced on the flat X.
 
-    X is a flat of A exactly when the hyperplanes containing it, found by
-    integer span tests, intersect in X's equations; otherwise this raises
+    X must equal, system, dimension and support alike, the flat of A where
+    the hyperplanes whose rows reduce to zero against X's system meet; if
+    not, or if the system is not (int pivot, n + 1 ints) pairs, this raises
     FlatNotInLattice. Those hyperplanes are dropped, the rest rewritten in
     X's integer chart coordinates (hyperplanes meeting X in the same set
     collapse to one), and the lattice is built inside X from scratch.
     Matches upper_set of the full lattice up to relabeling of supports.
     """
     n = A.ambient_dim
-    shaped = all(len(eq) == n + 1 and all(isinstance(v, Fraction) for v in eq) for eq in X.equations)
-    system = _system(n, [_primitive(eq) for eq in X.equations]) if shaped else None
-    flat = None if system is None else intersect(
-        A, (j for j, row in enumerate(A.rows) if not any(_reduce(system, row))))
-    if flat is None or flat.equations != X.equations:
-        raise FlatNotInLattice(f"no flat of the arrangement has equations {X.equations}")
+    shaped = type(X.system) is tuple and all(
+        type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and 0 <= pair[0] <= n
+        and type(pair[1]) is tuple and len(pair[1]) == n + 1 and all(type(v) is int for v in pair[1])
+        for pair in X.system)
+    flat = shaped and intersect(A, (j for j, row in enumerate(A.rows) if not any(_reduce(X.system, row))))
+    if flat != X:
+        raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
     if flat.dim == 0:
-        return validate_semilattice(0, [Flat(0, 0, frozenset(), X)], [])
+        return validate_semilattice(0, [Flat(0, 0, frozenset(), flat)], [])
     chart = _Chart(flat, n)
     rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in flat.support)
     # a row without coefficients is parallel to X: its trace is empty

@@ -178,11 +178,13 @@ class _Systems:
 
 
 def feasible(A: Arrangement, signs: tuple[int, ...]) -> bool:
-    """Exact emptiness test for one total sign assignment."""
+    """Exact emptiness test for one total sign assignment of ints in {-1, 0, 1}."""
     if len(signs) != len(A.hyperplanes):
         raise DimensionMismatch(
             f"sign vector has {len(signs)} entries for {len(A.hyperplanes)} hyperplanes"
         )
+    if not all(type(s) is int and -1 <= s <= 1 for s in signs):
+        raise ValueError(f"sign vector entries must be -1, 0 or 1: {tuple(signs)!r}")
     systems = _Systems(A)
     chart = systems.chart(frozenset(j for j, s in enumerate(signs) if s == 0))
     strict = [(j, s) for j, s in enumerate(signs) if s]

@@ -142,6 +142,19 @@ class TestIntersect:
         flat = intersect(concurrent3, {0, 1})
         assert flat.support == frozenset([0, 1, 2])
 
+    def test_flat_is_its_integer_system(self, axes):
+        line = intersect(axes, {0})
+        assert line == AffineFlat(((0, (1, 0, 0)),), 1, frozenset({0}))
+        assert line.equations == ((F(1), F(0), F(0)),)
+        assert intersect(lines((2, 0, 3), (0, 1, 0)), {0}).system == ((0, (2, 0, 3)),)
+
+    @pytest.mark.parametrize("index", [-1, True, 3, 1.0, "0", None])
+    def test_index_outside_the_arrangement_rejected(self, generic3, index):
+        # Python's indexing would read -1 as plane 2 and True as plane 1
+        with pytest.raises(ValueError) as info:
+            intersect(generic3, {0, index})
+        assert str(info.value) == f"no hyperplane has index {index!r}; the arrangement has 3"
+
 
 class TestBuildLattice:
     def test_generic_three_lines(self, generic3):
@@ -243,21 +256,33 @@ class TestRestrict:
                 assert mobius_polynomial(R) == mobius_polynomial(U)
 
     def test_unknown_flat_rejected(self, axes):
+        x0 = frozenset({0})
+        # the line x = 0 itself is accepted
+        assert restrict(axes, AffineFlat(((0, (1, 0, 0)),), 1, x0)).ambient_dim == 1
         strangers = [
-            ((F(1), F(1), F(5)),),
+            AffineFlat(((0, (1, 1, 5)),), 1, frozenset()),
             # the line x = 0, with too few and too many columns
-            ((F(1), F(0)),),
-            ((F(1), F(0), F(0), F(0)),),
+            AffineFlat(((0, (1, 0)),), 1, x0),
+            AffineFlat(((0, (1, 0, 0, 0)),), 1, x0),
             # the line x = 0 again, but not in canonical form
-            ((F(2), F(0), F(0)),),
+            AffineFlat(((0, (2, 0, 0)),), 1, x0),
             # no solution at all
-            ((F(0), F(0), F(1)),),
-            # not an exact rational
-            ((F(1), F(0), 0.0),),
+            AffineFlat(((2, (0, 0, 1)),), 1, frozenset()),
+            # not an integer, though equal to one
+            AffineFlat(((0, (1, 0, 0.0)),), 1, x0),
+            AffineFlat(((0, (1, 0, F(0))),), 1, x0),
+            # a bare row, and a pivot outside the columns
+            AffineFlat(((1, 0, 0),), 1, x0),
+            AffineFlat(((3, (1, 0, 0)),), 1, x0),
+            # the whole plane's system with the wrong dimension and support
+            AffineFlat((), 0, frozenset({0, 1})),
+            # the line x = 0 with the wrong dimension and a support that does not exist
+            AffineFlat(((0, (1, 0, 0)),), 0, frozenset({7})),
         ]
-        for equations in strangers:
-            with pytest.raises(FlatNotInLattice):
-                restrict(axes, AffineFlat(equations, 1, frozenset()))
+        for flat in strangers:
+            with pytest.raises(FlatNotInLattice) as info:
+                restrict(axes, flat)
+            assert str(info.value) == f"not a flat of the arrangement: {flat}"
 
 
 class TestJson:

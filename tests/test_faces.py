@@ -70,6 +70,13 @@ class TestFeasible:
         with pytest.raises(DimensionMismatch):
             feasible(axes, (1,))
 
+    @pytest.mark.parametrize("signs", [(2, -7, 5), (0.5, 0, 1), (1, 0, 1.0), (True, 0, -1), (1, "+", -1)])
+    def test_sign_outside_plus_zero_minus_rejected(self, generic3, signs):
+        # the walk reads any nonzero entry as a side: 2 and 0.5 as +, -7 as -
+        with pytest.raises(ValueError) as info:
+            feasible(generic3, signs)
+        assert str(info.value) == f"sign vector entries must be -1, 0 or 1: {signs!r}"
+
     def test_invariant_under_hyperplane_reordering(self, generic3):
         order = (2, 0, 1)
         swapped = Arrangement(2, [generic3.hyperplanes[i] for i in order])

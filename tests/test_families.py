@@ -9,7 +9,7 @@ from math import comb, factorial
 import pytest
 
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
-from cutcount.faces import f_vector_oracle
+from cutcount.faces import DEFAULT_CAP, f_vector_oracle
 from cutcount.poset import f_vector_from_semilattice
 
 
@@ -22,10 +22,10 @@ def stirling2(n, k):
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def both_sides(A):
+def both_sides(A, cap=DEFAULT_CAP):
     """The f-vector read off the lattice, after checking the oracle agrees."""
     f = f_vector_from_semilattice(build_lattice(A))
-    assert f_vector_oracle(A) == f
+    assert f_vector_oracle(A, cap=cap) == f
     return f
 
 
@@ -54,17 +54,19 @@ def test_central_planes_and_one_affine_plane():
     assert f_vector_from_semilattice(L) == f_vector_oracle(A)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_shi_arrangement(n):
-    # (n + 1)^(n - 1) regions (Shi 1986); n = 4 has 12 planes, the default cap
-    assert both_sides(Arrangement(n, differences(n, [0, 1])))[-1] == (n + 1) ** (n - 1)
+    # (n + 1)^(n - 1) regions (Shi 1986); n = 5 has 20 planes, past the default cap
+    A = Arrangement(n, differences(n, [0, 1]))
+    assert both_sides(A, cap=len(A))[-1] == (n + 1) ** (n - 1)
 
 
 def test_catalan_arrangement():
-    # n! C_n regions, C_n the Catalan number
-    n = 3
-    catalan = comb(2 * n, n) // (n + 1)
-    assert both_sides(Arrangement(n, differences(n, [-1, 0, 1])))[-1] == factorial(n) * catalan
+    # n! C_n regions, C_n the Catalan number; n = 4 has 18 planes, past the default cap
+    for n in (3, 4):
+        catalan = comb(2 * n, n) // (n + 1)
+        A = Arrangement(n, differences(n, [-1, 0, 1]))
+        assert both_sides(A, cap=len(A))[-1] == factorial(n) * catalan
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
-from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, restrict
+from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, intersect, restrict
 from cutcount.faces import DEFAULT_CAP, _walk_faces, enumerate_faces, f_vector_oracle, feasible
 from cutcount.poset import (
     BiPolynomial,
@@ -237,6 +237,19 @@ def test_lattice_equals_brute_force(A):
     flats, doc = brute_force_lattice(A)
     assert [(L.flats[i].payload.equations, L.flats[i].dim, L.flats[i].support) for i in L.ids()] == flats
     assert semilattice_to_json(L) == doc
+
+
+@given(affine_arrangements())
+@settings(max_examples=100, deadline=None)
+def test_flat_identity_is_its_system(A):
+    """A lattice flat equals, with an equal hash, the flat intersect makes
+    from its support, and distinct lattice flats are unequal flats."""
+    L = build_lattice(A)
+    payloads = [L.flats[i].payload for i in L.ids()]
+    for f in payloads:
+        again = intersect(A, f.support)
+        assert again == f and hash(again) == hash(f)
+    assert all(a != b for a, b in combinations(payloads, 2))
 
 
 def pull_back(chart, equations):
