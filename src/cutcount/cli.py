@@ -219,8 +219,6 @@ def _mark(positions: list[int], t: int, present: bool) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.seed is None:
-        raise ParamError("--seed is required: generation must be reproducible")
     if args.kind == "hyperplanes":
         if args.wires is not None or args.crossings is not None:
             raise ParamError("--wires/--crossings apply to --kind wiring only")

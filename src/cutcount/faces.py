@@ -154,22 +154,20 @@ class _Systems:
             self._charts[zero] = chart
         return self._charts[zero]
 
-    def solve(self, chart: _Chart, strict) -> tuple[tuple[int, ...], int] | None:
-        """A point of the chart's flat strictly on side s of hyperplane j
-        for every (j, s) in `strict`, or None when there is none."""
-        rows = []
-        for j, s in strict:
-            row = chart.row(j, self.planes[j])
-            rows.append(row if s > 0 else tuple(-v for v in row))
+    def solve(self, chart: _Chart, signs) -> tuple[tuple[int, ...], int] | None:
+        """A point of the chart's flat strictly on side signs[j] of hyperplane
+        j for every nonzero entry, or None when there is none."""
+        rows = [row if s > 0 else tuple(-v for v in row)
+                for j, s in enumerate(signs) if s for row in [chart.row(j, self.planes[j])]]
         t = _fm_point(rows, len(chart.basis))
         return None if t is None else chart.point(t)
 
-    def step(self, start, direction, strict) -> tuple[tuple[int, ...], int]:
-        """start + direction / (k D) for the least k >= 1 keeping every
-        strict sign: the exact ratio test along the segment."""
+    def step(self, start, direction, signs) -> tuple[tuple[int, ...], int]:
+        """start + direction / (k D) for the least k >= 1 keeping every nonzero
+        sign: the exact ratio test along the segment (a zero has slope 0)."""
         X, D = start
         k = 1
-        for j, s in strict:
+        for j, s in enumerate(signs):
             plane = self.planes[j]
             slope = s * _dot(plane, direction)
             if slope < 0:
@@ -187,8 +185,7 @@ def feasible(A: Arrangement, signs: tuple[int, ...]) -> bool:
         raise ValueError(f"sign vector entries must be -1, 0 or 1: {tuple(signs)!r}")
     systems = _Systems(A)
     chart = systems.chart(frozenset(j for j, s in enumerate(signs) if s == 0))
-    strict = [(j, s) for j, s in enumerate(signs) if s]
-    return chart is not None and systems.solve(chart, strict) is not None
+    return chart is not None and systems.solve(chart, signs) is not None
 
 
 def _walk_faces(A: Arrangement, cap: int):
@@ -196,8 +193,8 @@ def _walk_faces(A: Arrangement, cap: int):
     branch order; both budgets are checked before anything is allocated. The
     witness (X, D) is the point X / D of the face, X integer and D > 0.
 
-    Depth first over hyperplanes in input order. Each partial face F,
-    relatively open in its flat, carries a witness w: an exact point of F.
+    Depth first over hyperplanes in input order. Each stacked partial face
+    F, relatively open in its flat, carries a witness w: an exact point of F.
     At hyperplane H:
     - H contains F's flat: only 0, witness w.
     - w lies on H, the flat does not: 0, + and - all hold with no call;
@@ -215,13 +212,16 @@ def _walk_faces(A: Arrangement, cap: int):
 
 
 def _faces(systems: _Systems, m: int):
-    signs = [0] * m
-    strict: list[tuple[int, int]] = []
-
-    def rec(i: int, chart: _Chart, w):
+    """The walk of _walk_faces over a stack of partial faces (signs, chart,
+    witness). Children are pushed in reverse, so they come off in 0, +, -
+    order; at most two siblings wait per level, so faces stream."""
+    stack = [((), systems.chart(frozenset()), ((0,) * systems.A.ambient_dim, 1))]
+    while stack:
+        signs, chart, w = stack.pop()
+        i = len(signs)
         if i == m:
-            yield tuple(signs), chart.flat, w
-            return
+            yield signs, chart.flat, w
+            continue
         cut = systems.chart(chart.flat.support | {i})  # the support meets in the flat
         plane = systems.planes[i]
         X, D = w
@@ -234,29 +234,19 @@ def _faces(systems: _Systems, m: int):
                 if _dot(plane, up) < 0:
                     up = tuple(-c for c in up)
                 down = tuple(-c for c in up)
-                children = ((0, w), (1, systems.step(w, up, strict)), (-1, systems.step(w, down, strict)))
+                children = ((0, w), (1, systems.step(w, up, signs)), (-1, systems.step(w, down, signs)))
             else:
                 side = 1 if value > 0 else -1
-                p = None if cut is None else systems.solve(cut, strict)
+                p = None if cut is None else systems.solve(cut, signs)
                 if p is None:
                     children = ((side, w),)
                 else:
                     P, Dp = p
                     away = [a * D - b * Dp for a, b in zip(P, X)]
-                    past = (-side, systems.step(p, away, strict))
+                    past = (-side, systems.step(p, away, signs))
                     children = ((0, p), (side, w), past) if side > 0 else ((0, p), past, (side, w))
-        for s, point in children:
-            signs[i] = s
-            if s:
-                strict.append((i, s))
-                yield from rec(i + 1, chart, point)
-                strict.pop()
-            else:
-                yield from rec(i + 1, cut, point)
-
-    root = systems.chart(frozenset())
-    origin = ((0,) * systems.A.ambient_dim, 1)
-    yield from rec(0, root, origin)
+        for s, point in reversed(children):
+            stack.append(((*signs, s), cut if s == 0 else chart, point))
 
 
 def enumerate_faces(

@@ -9,6 +9,7 @@ from this order alone; every face count is read off the Möbius polynomial.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -60,13 +61,11 @@ class Semilattice:
     The order is stored as bitmask rows indexed by position in `order`,
     which lists the flat ids in (rank, id) order: bit i stands for the flat
     at position i, so walking a row's bits visits flats in that order.
-    `below[i]` and `above[i]` are the principal down- and up-sets of the
-    flat at position i. Ids become positions only at the public methods.
+    `above[i]` is the principal up-set of the flat at position i. Ids
+    become positions only at the public methods.
     """
 
-    def __init__(
-        self, ambient_dim: int, flats: dict, order: tuple, pos: dict, below: list, above: list
-    ) -> None:
+    def __init__(self, ambient_dim: int, flats: dict, order: tuple, pos: dict, above: list) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
         # only the minimum has the ambient dimension, so it comes first
@@ -77,7 +76,6 @@ class Semilattice:
         self._ranks = tuple(ambient_dim - flats[fid].dim for fid in order)
         # largest rank present (may be smaller than the ambient dimension)
         self.rank = self._ranks[-1]
-        self._below = below
         self._above = above
 
     def ids(self) -> tuple[int, ...]:
@@ -214,14 +212,15 @@ def validate_semilattice(
                 raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                   f" both are minimal above {order[i]} and {order[j]}")
 
-    return Semilattice(n, by_id, order, pos, below, above)
+    return Semilattice(n, by_id, order, pos, above)
 
 
 class BiPolynomial:
     """Integer-coefficient polynomial in x and y, stored as a sparse term map.
 
     Zero coefficients are never stored; a univariate polynomial is simply
-    one whose y-exponents are all zero.
+    one whose y-exponents are all zero. Exponents and coefficients must be
+    ints (not bools); anything else raises ValueError, as nothing is coerced.
     """
 
     __slots__ = ("terms",)
@@ -229,8 +228,10 @@ class BiPolynomial:
     def __init__(self, terms: dict[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
         for (a, b), c in (terms or {}).items():
+            if type(a) is not int or type(b) is not int or type(c) is not int:
+                raise ValueError(f"exponents and coefficients must be ints: {(a, b)!r}: {c!r}")
             if c:
-                clean[(int(a), int(b))] = int(c)
+                clean[(a, b)] = c
         self.terms = clean
 
     @classmethod
@@ -281,10 +282,15 @@ class BiPolynomial:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BiPolynomial":
+        """Inverse of to_json: exponents are JSON integers and each coeff a
+        string of decimal digits with an optional '-'; else ParseError."""
         terms: dict[tuple[int, int], int] = {}
         for item in doc["terms"]:
-            key = (int(item["x"]), int(item["y"]))
-            terms[key] = terms.get(key, 0) + int(item["coeff"])
+            key = (json_field(item["x"], int, "term x"), json_field(item["y"], int, "term y"))
+            coeff = item["coeff"]
+            if type(coeff) is not str or not re.fullmatch("-?[0-9]+", coeff):
+                raise ParseError(f"term coeff must be a string of decimal digits, got {coeff!r}")
+            terms[key] = terms.get(key, 0) + int(coeff)
         return cls(terms)
 
 
@@ -394,7 +400,7 @@ def semilattice_from_json(doc: dict) -> Semilattice:
 def semilattice_to_json(L: Semilattice) -> dict:
     """JSON document form; `leq` lists the full strict order, sorted."""
     flats = [{"id": fid, "dim": L.flats[fid].dim} for fid in L.ids()]
-    # every strict pair (a, b), read off the principal down-set rows
+    # every strict pair (a, b), read off the principal up-set rows
     order = L._order
-    leq = sorted([order[i], order[y]] for y, row in enumerate(L._below) for i in _bits(row) if i != y)
+    leq = sorted([order[x], order[j]] for x, row in enumerate(L._above) for j in _bits(row) if j != x)
     return {"kind": "semilattice", "ambient_dim": L.ambient_dim, "flats": flats, "leq": leq}

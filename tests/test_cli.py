@@ -283,6 +283,14 @@ class TestBadInput:
         }))
         assert run("mobius", str(path)).returncode == 2
 
+    def test_negative_ambient_dimension(self, tmp_path):
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({
+            "kind": "semilattice", "ambient_dim": -1, "flats": [{"id": 0, "dim": -1}], "leq": [],
+        }))
+        assert run_in_process(["mobius", str(path)]) == (
+            2, "", f"error: {path}: malformed semilattice document: ambient dimension must be nonnegative\n")
+
     def test_no_command(self):
         assert run().returncode == 2
 

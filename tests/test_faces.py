@@ -8,6 +8,8 @@ import pytest
 from cutcount.errors import CapExceeded, DimensionMismatch, FlatNotInLattice
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
 from cutcount.faces import (
+    DEFAULT_CAP,
+    MAX_AMBIENT_DIM,
     enumerate_faces,
     f_vector_oracle,
     faces_to_json,
@@ -142,6 +144,19 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             enumerate_faces(axes, cap=1)
         assert len(enumerate_faces(axes, cap=2)) == 9
+
+    @pytest.mark.parametrize("A, message", [
+        (lines(*[(1, 0, k) for k in range(DEFAULT_CAP + 1)]), "^13 hyperplanes exceeds the cap of 12;"),
+        (Arrangement(MAX_AMBIENT_DIM + 1, []), "^ambient dimension 65 exceeds the face oracle's limit"),
+    ])
+    def test_budgets_trip_before_the_lattice_is_built(self, monkeypatch, A, message):
+        def no_lattice(A):
+            raise AssertionError("the lattice was built before the budgets were checked")
+
+        monkeypatch.setattr("cutcount.faces.build_lattice", no_lattice)
+        for oracle in (enumerate_faces, f_vector_oracle):
+            with pytest.raises(CapExceeded, match=message):
+                oracle(A)
 
 
 class TestFVectorOracle:

@@ -8,6 +8,7 @@ from cutcount.errors import (
     NegativeCoefficient,
     NoMinimum,
     NotAPartialOrder,
+    ParseError,
     RankViolation,
     UnknownFlat,
 )
@@ -98,6 +99,10 @@ class TestValidate:
     def test_unknown_flat_in_leq(self):
         with pytest.raises(UnknownFlat):
             make(2, [2], [(0, 7)])
+
+    def test_negative_ambient_dimension(self):
+        with pytest.raises(ValueError, match="^ambient dimension must be nonnegative$"):
+            validate_semilattice(-1, [Flat(0, -1)], [])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -338,6 +343,28 @@ class TestBiPolynomial:
     def test_json_merges_repeated_terms(self):
         doc = {"terms": [{"x": 1, "y": 0, "coeff": "2"}, {"x": 1, "y": 0, "coeff": "-2"}]}
         assert BiPolynomial.from_json(doc) == BiPolynomial()
+
+    @pytest.mark.parametrize("terms", [
+        {(1.5, 0): 2}, {(1, 0): 2.7}, {(True, 0): 1}, {(0, 1): False}, {(0, "1"): 1},
+    ])
+    def test_non_int_terms_rejected(self, terms):
+        # nothing is coerced: 1.5 is not truncated to 1, nor True read as 1
+        with pytest.raises(ValueError, match="must be ints"):
+            BiPolynomial(terms)
+
+    @pytest.mark.parametrize("term", [
+        {"x": 1.5, "y": 0, "coeff": "1"},
+        {"x": 1, "y": True, "coeff": "1"},
+        {"x": 1, "y": 0, "coeff": "3_000"},
+        {"x": 1, "y": 0, "coeff": 2.9},
+        {"x": 1, "y": 0, "coeff": 3},
+        {"x": 1, "y": 0, "coeff": " 3"},
+        {"x": 1, "y": 0, "coeff": "+3"},
+        {"x": 1, "y": 0, "coeff": "３"},
+    ])
+    def test_json_strict_types(self, term):
+        with pytest.raises(ParseError):
+            BiPolynomial.from_json({"terms": [term]})
 
     def test_coefficient_lookup(self):
         p = BiPolynomial({(2, 1): 4})
