@@ -160,8 +160,7 @@ def generate_arrangement(dim: int, count: int, bound: int, seed: int) -> Arrange
         if not any(seen.add(plane) or len(seen) == count for plane in space):
             raise ParamError(f"--dim {dim} --bound {bound} give only {len(seen)} distinct hyperplanes")
     rng = random.Random(seed)
-    planes: list[Hyperplane] = []
-    seen = set()
+    planes: dict[Hyperplane, None] = {}
     while len(planes) < count:
         normal = tuple(
             Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
@@ -170,12 +169,8 @@ def generate_arrangement(dim: int, count: int, bound: int, seed: int) -> Arrange
         if not any(normal):
             continue
         offset = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        h = Hyperplane(normal, offset)
-        if h in seen:
-            continue
-        seen.add(h)
-        planes.append(h)
-    return Arrangement(dim, planes)
+        planes[Hyperplane(normal, offset)] = None  # a repeat is drawn again
+    return Arrangement(dim, list(planes))
 
 
 def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:

@@ -271,10 +271,9 @@ class _Chart:
             self.rows[j] = row
         return row
 
-    def point(self, t) -> tuple[tuple[int, ...], int]:
-        """Homogeneous integer coordinates of the point with coordinates t."""
-        den = lcm(*(v.denominator for v in t))
-        T = [v.numerator * (den // v.denominator) for v in t]
+    def point(self, T, den: int) -> tuple[tuple[int, ...], int]:
+        """Homogeneous integer coordinates of the point with coordinates
+        T / den: T integer, den > 0."""
         X = [den * o for o in self.origin]
         for tk, b in zip(T, self.basis):
             if tk:

@@ -2,24 +2,24 @@
 
 Every face is the solution set of one sign assignment: equalities on the
 zero entries, strict inequalities elsewhere. Feasibility is decided
-exactly, by Fourier-Motzkin elimination over int, so the resulting
-f-vector is ground truth the Möbius side of the package can be checked
-against.
+exactly, by Fourier-Motzkin elimination over int with an integer
+back-substitution over one common denominator, so the resulting f-vector
+is ground truth the Möbius side of the package can be checked against.
 
 The walk assigns signs one hyperplane at a time and carries an exact point
 in the relative interior of each partial face, its witness. The witness
 settles its own side of the next hyperplane without any elimination, so a
-node costs at most one feasibility call.
+node costs at most one feasibility call. Each face lives in the chart of
+its flat, and the chart of a cut flat is extended from its parent's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 from .errors import CapExceeded, DimensionMismatch, FlatNotInLattice
-from .exactgeom import Arrangement, _Chart, _dot, _reduced, build_lattice, intersect
+from .exactgeom import AffineFlat, Arrangement, _Chart, _dot, _extend, _reduce, _reduced, build_lattice, intersect
 from .poset import Semilattice
 
 DEFAULT_CAP = 12
@@ -69,26 +69,31 @@ def _settle(rows):
 
 
 def _between(lo, hi):
-    # a small rational strictly inside (lo, hi); None is an open end
-    if (lo is None or lo < 0) and (hi is None or hi > 0):
-        return 0
-    if hi is None:
-        return floor(lo) + 1
+    """A small rational strictly inside (lo, hi), as (num, den) with den > 0;
+    an end is (num, d) with d > 0, or None when open. 0 if it fits, else
+    ceil(hi) - 1 if lo is open, floor(lo) + 1 if below hi, else the midpoint."""
+    if (lo is None or lo[0] < 0) and (hi is None or hi[0] > 0):
+        return 0, 1
     if lo is None:
-        return ceil(hi) - 1
-    step = floor(lo) + 1
-    return step if step < hi else (lo + hi) / 2
+        return -(-hi[0] // hi[1]) - 1, 1
+    step = lo[0] // lo[1] + 1
+    if hi is None or step * hi[1] < hi[0]:
+        return step, 1
+    num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def _fm_point(rows, nvars: int):
-    """A point t with c . t > r for every integer row (c..., r), or None.
+    """(T, den) with c . T > r den for every integer row (c..., r), or None.
 
     Fourier-Motzkin over int: variables go in index order, each pair of a
     row bounding the variable from below and one bounding it from above
     is combined with positive integer weights, and every new row is
     divided by the gcd of its entries. The bounding rows of each stage are
     kept; the last variable is never combined, its interval is read off
-    directly, and the point is then filled in from the last stage back.
+    directly, and the point is then filled in from the last stage back over
+    one common denominator den > 0, bounds being (num, d > 0) pairs of ints.
     """
     stages = []
     live = _settle(rows)
@@ -111,25 +116,32 @@ def _fm_point(rows, nvars: int):
         live = _settle(rest)
     if live is None:
         return None
-    t = [0] * nvars
+    T, den = [0] * nvars, 1
     for v, pos, neg in reversed(stages):
-        def bound(r):
-            return Fraction(r[-1] - sum(r[k] * t[k] for k in range(v + 1, nvars)), r[v])
-
-        lo = max(map(bound, pos), default=None)
-        hi = min(map(bound, neg), default=None)
-        if lo is not None and hi is not None and lo >= hi:
+        # row r bounds t_v by (r[-1] den - sum of r[k] T[k] over k > v) / (r[v] den)
+        lo = hi = None
+        for r in pos:
+            b = (r[-1] * den - _dot(r[v + 1:-1], T[v + 1:]), r[v] * den)
+            lo = b if lo is None or b[0] * lo[1] > lo[0] * b[1] else lo
+        for r in neg:
+            b = (_dot(r[v + 1:-1], T[v + 1:]) - r[-1] * den, -r[v] * den)
+            hi = b if hi is None or b[0] * hi[1] < hi[0] * b[1] else hi
+        if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
             return None  # only the last stage can be empty
-        t[v] = _between(lo, hi)
-    return t
+        num, q = _between(lo, hi)
+        if q > 1:  # a midpoint: T and it over one common denominator
+            g = q // gcd(den, q)
+            T, den = [x * g for x in T], den * g
+        T[v] = num * (den // q)
+    return T, den
 
 
 class _Systems:
     """Sign systems of one arrangement over int: its integer rows, and the chart
-    where each set of hyperplanes meets, a flat's support keying its own. An ambient
-    dimension above MAX_AMBIENT_DIM is refused up front. `_dot` of a row
-    (normal..., offset) with a point or direction stops at the shorter
-    vector."""
+    where each set of hyperplanes meets, a flat's support keying its own: `meet`
+    extends the walk's cuts from their parents. An ambient dimension above
+    MAX_AMBIENT_DIM is refused up front. `_dot` of a row (normal..., offset)
+    with a point or direction stops at the shorter vector."""
 
     def __init__(self, A: Arrangement) -> None:
         if A.ambient_dim > MAX_AMBIENT_DIM:
@@ -141,18 +153,34 @@ class _Systems:
         self._charts: dict[frozenset[int], _Chart | None] = {}
 
     def chart(self, zero: frozenset[int]) -> _Chart | None:
-        """Chart of the flat where the hyperplanes in `zero` meet; None if
-        they do not."""
-        if zero not in self._charts:
-            flat = intersect(self.A, zero)
-            chart = None
-            if flat is not None:
-                # a maximal support names exactly one flat, and meets in it
-                chart = self._charts.get(flat.support)
-                if chart is None:
-                    chart = self._charts[flat.support] = _Chart(flat, self.A.ambient_dim)
-            self._charts[zero] = chart
-        return self._charts[zero]
+        """Chart of the flat where the hyperplanes in `zero` meet, by `intersect`, kept
+        under its support; None if they do not (the walk's root, and `feasible`)."""
+        flat = intersect(self.A, zero)
+        if flat is None:
+            return None
+        chart = self._charts[flat.support] = _Chart(flat, self.A.ambient_dim)
+        return chart
+
+    def meet(self, chart: _Chart, i: int) -> _Chart | None:
+        """Chart where chart's flat meets hyperplane i, keyed by its support plus i; None if
+        i's chart row has no coefficients (parallel). Rows are primitive, so the planes with
+        row `row` or `-row` cut the flat there; the system gains plane i reduced against it."""
+        flat = chart.flat
+        key = flat.support | {i}
+        if key not in self._charts:
+            cut = None
+            row = chart.row(i, self.planes[i])
+            if any(row[:-1]):
+                same = (row, tuple(-v for v in row))
+                support = flat.support.union(
+                    j for j, plane in enumerate(self.planes)
+                    if j not in flat.support and chart.row(j, plane) in same)
+                cut = self._charts.get(support)
+                if cut is None:
+                    system = _extend(flat.system, _reduce(flat.system, self.planes[i]))
+                    cut = self._charts[support] = _Chart(AffineFlat(system, flat.dim - 1, support), self.A.ambient_dim)
+            self._charts[key] = cut
+        return self._charts[key]
 
     def solve(self, chart: _Chart, signs) -> tuple[tuple[int, ...], int] | None:
         """A point of the chart's flat strictly on side signs[j] of hyperplane
@@ -160,7 +188,7 @@ class _Systems:
         rows = [row if s > 0 else tuple(-v for v in row)
                 for j, s in enumerate(signs) if s for row in [chart.row(j, self.planes[j])]]
         t = _fm_point(rows, len(chart.basis))
-        return None if t is None else chart.point(t)
+        return None if t is None else chart.point(*t)
 
     def step(self, start, direction, signs) -> tuple[tuple[int, ...], int]:
         """start + direction / (k D) for the least k >= 1 keeping every nonzero
@@ -222,7 +250,7 @@ def _faces(systems: _Systems, m: int):
         if i == m:
             yield signs, chart.flat, w
             continue
-        cut = systems.chart(chart.flat.support | {i})  # the support meets in the flat
+        cut = systems.meet(chart, i)
         plane = systems.planes[i]
         X, D = w
         if i in chart.flat.support:

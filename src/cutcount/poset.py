@@ -285,12 +285,15 @@ class BiPolynomial:
         """Inverse of to_json: exponents are JSON integers and each coeff a
         string of decimal digits with an optional '-'; else ParseError."""
         terms: dict[tuple[int, int], int] = {}
-        for item in doc["terms"]:
-            key = (json_field(item["x"], int, "term x"), json_field(item["y"], int, "term y"))
-            coeff = item["coeff"]
-            if type(coeff) is not str or not re.fullmatch("-?[0-9]+", coeff):
-                raise ParseError(f"term coeff must be a string of decimal digits, got {coeff!r}")
-            terms[key] = terms.get(key, 0) + int(coeff)
+        try:
+            for item in doc["terms"]:
+                key = (json_field(item["x"], int, "term x"), json_field(item["y"], int, "term y"))
+                coeff = item["coeff"]
+                if type(coeff) is not str or not re.fullmatch("-?[0-9]+", coeff):
+                    raise ParseError(f"term coeff must be a string of decimal digits, got {coeff!r}")
+                terms[key] = terms.get(key, 0) + int(coeff)
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"malformed polynomial document: {exc}") from exc
         return cls(terms)
 
 

@@ -1,12 +1,14 @@
 """Reference algorithms the tests check cutcount against; cutcount never
-calls them. It eliminates over integers, reads crossed wires off the
-permutation instead of keeping a set of crossed pairs, updates its wiring
-draw's candidates locally instead of rescanning, and sums the Möbius
-polynomial by the dual recursion instead of walking intervals."""
+calls them. It eliminates over integers, backs Fourier-Motzkin out over
+one integer denominator instead of in Fractions, reads crossed wires off
+the permutation instead of keeping a set of crossed pairs, updates its
+wiring draw's candidates locally instead of rescanning, and sums the
+Möbius polynomial by the dual recursion instead of walking intervals."""
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import ceil, floor, gcd
 
 from cutcount.faces import DEFAULT_CAP, _walk_faces
 from cutcount.poset import BiPolynomial, f_vector_from_semilattice
@@ -40,6 +42,71 @@ def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
             break
     return rows, rank
 
+
+def _settle(rows):
+    # duplicates removed, the largest r kept per c; None when some 0 > r fails
+    tightest = {}
+    for row in rows:
+        c = row[:-1]
+        if any(c):
+            kept = tightest.get(c)
+            if kept is None or row[-1] > kept[-1]:
+                tightest[c] = row
+        elif row[-1] >= 0:
+            return None
+    return list(tightest.values())
+
+
+def between(lo, hi):
+    """The small rational strictly inside (lo, hi) that cutcount picks, as a
+    Fraction or int; None is an open end: 0, then floor(lo) + 1 or
+    ceil(hi) - 1, else the midpoint."""
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        return 0
+    if hi is None:
+        return floor(lo) + 1
+    if lo is None:
+        return ceil(hi) - 1
+    step = floor(lo) + 1
+    return step if step < hi else (lo + hi) / 2
+
+
+def fm_point(rows, nvars: int):
+    """A point t with c . t > r for every integer row (c..., r), or None:
+    the same Fourier-Motzkin elimination as cutcount's, with the point
+    filled in from the last stage back in Fractions."""
+    stages = []
+    live = _settle(rows)
+    for v in range(nvars):
+        if not live:
+            break
+        pos = [r for r in live if r[v] > 0]
+        neg = [r for r in live if r[v] < 0]
+        stages.append((v, pos, neg))
+        if v + 1 == nvars:
+            break
+        rest = [r for r in live if r[v] == 0]
+        for p in pos:
+            for q in neg:
+                a, b = -q[v], p[v]
+                g = gcd(a, b)
+                row = tuple((a // g) * x + (b // g) * y for x, y in zip(p, q))
+                g = gcd(*row)
+                rest.append(tuple(x // g for x in row) if g > 1 else row)
+        live = _settle(rest)
+    if live is None:
+        return None
+    t = [0] * nvars
+    for v, pos, neg in reversed(stages):
+        def bound(r):
+            return Fraction(r[-1] - sum(r[k] * t[k] for k in range(v + 1, nvars)), r[v])
+
+        lo = max(map(bound, pos), default=None)
+        hi = min(map(bound, neg), default=None)
+        if lo is not None and hi is not None and lo >= hi:
+            return None
+        t[v] = between(lo, hi)
+    return t
 
 
 def wiring_sweep(wires: int, events: list[tuple[int, int]]):

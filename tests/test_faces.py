@@ -10,6 +10,7 @@ from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
 from cutcount.faces import (
     DEFAULT_CAP,
     MAX_AMBIENT_DIM,
+    _between,
     enumerate_faces,
     f_vector_oracle,
     faces_to_json,
@@ -84,6 +85,31 @@ class TestFeasible:
         swapped = Arrangement(2, [generic3.hyperplanes[i] for i in order])
         for signs in product((1, 0, -1), repeat=3):
             assert feasible(generic3, signs) == feasible(swapped, tuple(signs[i] for i in order))
+
+
+class TestBetween:
+    # ends are (num, d) pairs with d > 0, or None when open; the result is (num, den)
+    @pytest.mark.parametrize("lo, hi, point", [
+        (None, None, (0, 1)),
+        ((-1, 2), (1, 3), (0, 1)),
+        ((-7, 2), None, (0, 1)),
+        (None, (5, 2), (0, 1)),
+        ((0, 1), None, (1, 1)),
+        ((5, 2), None, (3, 1)),
+        (None, (0, 1), (-1, 1)),
+        # floor and ceil of negative non-integers round away from zero
+        (None, (-5, 2), (-3, 1)),
+        ((-7, 2), (-1, 3), (-3, 1)),
+        ((-7, 2), (-3, 1), (-13, 4)),
+        ((1, 3), (2, 3), (1, 2)),
+        ((2, 6), (10, 12), (7, 12)),
+        ((-2, 3), (-1, 3), (-1, 2)),
+    ])
+    def test_rule(self, lo, hi, point):
+        assert _between(lo, hi) == point
+        num, den = point
+        assert lo is None or lo[0] * den < num * lo[1]
+        assert hi is None or num * hi[1] < hi[0] * den
 
 
 class TestEnumerate:

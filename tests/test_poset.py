@@ -366,6 +366,17 @@ class TestBiPolynomial:
         with pytest.raises(ParseError):
             BiPolynomial.from_json({"terms": [term]})
 
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"terms": [1]},
+        {"terms": [{"x": 1, "y": 0}]},
+        {"terms": None},
+        [{"x": 1, "y": 0, "coeff": "1"}],
+    ])
+    def test_json_malformed_document(self, doc):
+        with pytest.raises(ParseError, match="^malformed polynomial document: "):
+            BiPolynomial.from_json(doc)
+
     def test_coefficient_lookup(self):
         p = BiPolynomial({(2, 1): 4})
         assert p.coefficient(2, 1) == 4

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from cutcount.cli import generate_arrangement
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
 from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, intersect, restrict
-from cutcount.faces import DEFAULT_CAP, _walk_faces, enumerate_faces, f_vector_oracle, feasible
+from cutcount.faces import (
+    DEFAULT_CAP,
+    _faces,
+    _fm_point,
+    _Systems,
+    _walk_faces,
+    enumerate_faces,
+    f_vector_oracle,
+    feasible,
+)
 from cutcount.poset import (
     BiPolynomial,
     Flat,
@@ -28,7 +37,7 @@ from cutcount.wiring import (
     sweep_f_vector,
     validate_wiring,
 )
-from reference import chamber_count, chambers, interval, mobius, mobius_sum, rref, wiring_sweep
+from reference import chamber_count, chambers, fm_point, interval, mobius, mobius_sum, rref, wiring_sweep
 
 coefficients = st.integers(-3, 3)
 
@@ -196,6 +205,50 @@ def test_witnesses_certify_every_face(A):
 def test_witnesses_certify_every_face_of_the_acceptance_batch():
     for seed in range(200):
         assert_witnesses_certify(generate_arrangement(2 + seed % 2, 2 + seed % 5, 5, seed))
+
+
+@given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
+# cuts that add two planes at once: within x = 0, y = 0 has chart row r, x = y has -r, x + y = 0 has r
+@example(Arrangement(2, [Hyperplane((F(1), F(0)), F(0)), Hyperplane((F(0), F(1)), F(0)),
+                         Hyperplane((F(1), F(-1)), F(0))]))
+@example(Arrangement(3, [Hyperplane(normal, F(0)) for normal in
+                         [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(1), F(1), F(0)), (F(0), F(0), F(1))]]))
+@settings(max_examples=150, deadline=None)
+def test_cut_charts_equal_intersect(A):
+    # the walk extends each cut chart from its parent; intersect builds it from scratch
+    systems = _Systems(A)
+    for _ in _faces(systems, len(A)):
+        pass
+    for key, chart in systems._charts.items():
+        flat = intersect(A, key)
+        assert (chart is None) == (flat is None), sorted(key)
+        if chart is not None:
+            assert chart.flat == flat == intersect(A, chart.flat.support), sorted(key)
+
+
+@st.composite
+def strict_systems(draw):
+    """Rows (c..., r) of c . t > r: 0-3 variables, up to 6 rows, entries -4..4."""
+    nvars = draw(st.integers(0, 3))
+    entry = st.integers(-4, 4)
+    return draw(st.lists(st.tuples(*[entry] * (nvars + 1)), max_size=6)), nvars
+
+
+@given(strict_systems())
+# midpoints: t = 1/2 in (1/3, 2/3); then 1/2 < s < 5/6 gives s = 2/3 over den 6
+@example(([(3, 1), (-3, -2)], 1))
+@example(([(0, 3, 1), (0, -3, -2), (1, -1, 0), (-3, 3, -1)], 2))
+@settings(max_examples=400, deadline=None)
+def test_integer_back_substitution_equals_fraction_reference(system):
+    rows, nvars = system
+    got, want = _fm_point(rows, nvars), fm_point(rows, nvars)
+    assert (got is None) == (want is None)
+    if got is not None:
+        T, den = got
+        assert den > 0 and all(type(x) is int for x in T)
+        assert [F(x, den) for x in T] == want
+        for *c, r in rows:
+            assert sum(a * x for a, x in zip(c, T)) > r * den
 
 
 def brute_force_lattice(A):
