@@ -65,17 +65,18 @@ class Semilattice:
     become positions only at the public methods.
     """
 
-    def __init__(self, ambient_dim: int, flats: dict, order: tuple, pos: dict, above: list) -> None:
+    def __init__(self, ambient_dim: int, flats: dict, ids: tuple, order: tuple, pos: dict,
+                 ranks: tuple, above: list) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
         # only the minimum has the ambient dimension, so it comes first
         self.minimum = order[0]
-        self._ids = tuple(sorted(flats))
+        self._ids = ids
         self._order = order
         self._pos = pos
-        self._ranks = tuple(ambient_dim - flats[fid].dim for fid in order)
+        self._ranks = ranks
         # largest rank present (may be smaller than the ambient dimension)
-        self.rank = self._ranks[-1]
+        self.rank = ranks[-1]
         self._above = above
 
     def ids(self) -> tuple[int, ...]:
@@ -113,6 +114,14 @@ def validate_semilattice(
     every pair of flats. Raises NoMinimum, NotAPartialOrder, MissingMeet,
     RankViolation, or UnknownFlat accordingly.
 
+    The closure runs along the given pairs. On valid input every pair points
+    forward in (rank, id) order, so one forward pass builds each down-set
+    from the down-sets of the flat's given predecessors, and one backward
+    pass builds each up-set from the up-sets of its given successors: one
+    union per pair. A pair pointing backward proves the input invalid; only
+    then is the closure taken by a fixpoint over the bitmask rows, so that
+    the checks name the same flats as ever.
+
     Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
     exactly when any two elements with a common upper bound have a least
     one. If meets exist, minimal upper bounds u1, u2 of c and d have u1 ^ u2
@@ -146,26 +155,54 @@ def validate_semilattice(
     ids = tuple(sorted(by_id))
     order = tuple(sorted(ids, key=lambda fid: (-by_id[fid].dim, fid)))
     pos = {fid: i for i, fid in enumerate(order)}
-    below = [1 << i for i in range(len(order))]
+    size = len(order)
+    # each given pair is one edge between positions, kept at both ends
+    into: list[list[int]] = [[] for _ in range(size)]
+    out: list[list[int]] = [[] for _ in range(size)]
+    backward = False
     for a, b in pairs:
-        for c in (a, b):
-            if c not in by_id:
-                raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {c}")
-        below[pos[b]] |= 1 << pos[a]
+        pa, pb = pos.get(a), pos.get(b)
+        if pa is None or pb is None:
+            raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a if pa is None else b}")
+        into[pb].append(pa)
+        out[pa].append(pb)
+        if pa > pb:
+            backward = True
 
-    # closure over the bitmask rows; the last pass walks each closed row into `above`
-    above = [0] * len(order)
-    changed = True
-    while changed:
-        changed = False
-        for y, row in enumerate(below):
-            acc = row
-            for i in _bits(row):
-                acc |= below[i]
-                above[i] |= 1 << y
-            if acc != row:
-                below[y] = acc
-                changed = True
+    below = [0] * size
+    above = [0] * size
+    if not backward:
+        # (rank, id) order is then a topological order of the edges, so one
+        # union per edge closes each row: below forward, above backward
+        for y, edges in enumerate(into):
+            row = 1 << y
+            for a in edges:
+                row |= below[a]
+            below[y] = row
+        for x in range(size - 1, -1, -1):
+            row = 1 << x
+            for b in out[x]:
+                row |= above[b]
+            above[x] = row
+    else:
+        # an edge against (rank, id) order proves the input invalid; close by
+        # fixpoint over the bitmask rows so the checks below name the flats at
+        # fault; the last pass walks each closed row into `above`
+        for y, edges in enumerate(into):
+            below[y] = 1 << y
+            for a in edges:
+                below[y] |= 1 << a
+        changed = True
+        while changed:
+            changed = False
+            for y, row in enumerate(below):
+                acc = row
+                for i in _bits(row):
+                    acc |= below[i]
+                    above[i] |= 1 << y
+                if acc != row:
+                    below[y] = acc
+                    changed = True
 
     # the lowest bit of a row is the flat first in (rank, id) order
     for y in ids:
@@ -184,23 +221,28 @@ def validate_semilattice(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
-    # rows run in (rank, id) order: the flats of dimension at most d start at first[d]
+    # rows run in (rank, id) order: the flats of rank at least r start at first[r]
+    ranks = tuple(n - by_id[fid].dim for fid in order)
     first: dict[int, int] = {}
-    for i, fid in enumerate(order):
-        first.setdefault(by_id[fid].dim, i)
+    for i, r in enumerate(ranks):
+        first.setdefault(r, i)
     for y in ids:
         py = pos[y]
-        dim_y = by_id[y].dim
-        low = below[py] >> first[dim_y] << first[dim_y] & ~(1 << py)
+        start = first[ranks[py]]
+        low = below[py] >> start << start & ~(1 << py)
         if low:
             x = order[next(_bits(low))]
-            raise RankViolation(f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {dim_y}")
+            raise RankViolation(f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {by_id[y].dim}")
 
     # a failing pair has two minimal common upper bounds, so leaving the flat
     # with the largest down-set out of every reach hides none of them
-    top = max(range(len(order)), key=lambda u: below[u].bit_count())
+    top = max(range(size), key=lambda u: below[u].bit_count())
     principal_up = set(above)
     for i, row in enumerate(above):
+        # a maximal flat reaches only its down-set, which the rank check put
+        # before it in (rank, id) order, so it has no partner j > i
+        if row == 1 << i:
+            continue
         reach = 0
         for u in _bits(row & ~(1 << top)):
             reach |= below[u]
@@ -212,7 +254,7 @@ def validate_semilattice(
                 raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                   f" both are minimal above {order[i]} and {order[j]}")
 
-    return Semilattice(n, by_id, order, pos, above)
+    return Semilattice(n, by_id, ids, order, pos, ranks, above)
 
 
 class BiPolynomial:
@@ -313,18 +355,20 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     levels = list(dict.fromkeys(ranks))
     column = {r: c for c, r in enumerate(levels)}
     cols = [column[r] for r in ranks]
-    zero = [0] * len(levels)
     S: list = [None] * len(ranks)
     for i in range(len(ranks) - 1, -1, -1):
-        s = [-sum(col) for col in zip(zero, *[S[z] for z in _bits(L._above[i] ^ 1 << i)])]
+        up = L._above[i] ^ 1 << i
+        # a maximal flat has no Z > X, so S(X) is its unit column
+        s = [-sum(col) for col in zip(*[S[z] for z in _bits(up)])] if up else [0] * len(levels)
         s[cols[i]] += 1
         S[i] = s
-    # M(x, y) is the sum of x^rk(X) S(X): one column sum per rank
+    # M(x, y) is the sum of x^rk(X) S(X): one column sum per rank, and every
+    # rank in `levels` has at least one flat
     by_rank: list[list] = [[] for _ in levels]
     for c, s in zip(cols, S):
         by_rank[c].append(s)
     return BiPolynomial({(r, rk - levels[c]): sum(col) for r, rows in zip(levels, by_rank)
-                         for c, col in enumerate(zip(zero, *rows))})
+                         for c, col in enumerate(zip(*rows))})
 
 
 def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:

@@ -88,7 +88,7 @@ def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
     for k, g in enumerate(w.groups):
         pid = 1 + n + k
         flats.append(Flat(pid, 0, frozenset(g)))
-        pairs.append((0, pid))
+        # every event meets at least 2 wires, so (0, wire) and (wire, pid) give 0 <= pid
         pairs += [(1 + wire, pid) for wire in g]
     return validate_semilattice(2, flats, pairs)
 

@@ -155,6 +155,9 @@ class TestValidate:
         (3, [0, 1, 2, 2, 2, 2, 2, 3],
          [(7, b) for b in range(7)] + [(p, 0) for p in range(2, 7)] + [(2, 1), (3, 1)],
          MissingMeet, "flats 1 and 0 have no greatest lower bound: both are minimal above 2 and 3"),
+        # the one backward pair (2, 0) closes a cycle through ranks 0, 1 and 2
+        (2, [2, 1, 0], [(0, 1), (1, 2), (2, 0)], NotAPartialOrder,
+         "flats 1 and 0 are mutually comparable"),
     ])
     def test_messages_name_flats_in_id_order(self, ambient, dims, pairs, error, message):
         with pytest.raises(error) as info:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from cutcount.cli import generate_arrangement
+from cutcount.cli import generate_arrangement, generate_wiring
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
 from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, intersect, restrict
 from cutcount.faces import (
@@ -411,6 +411,23 @@ def test_mirror_invariance(w):
     assert sweep_f_vector(mirrored) == sweep_f_vector(w)
 
 
+@given(st.integers(1, 10), st.integers(0, 45), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_wiring_order_is_the_closure_of_plane_wire_point(wires, crossings, seed):
+    w = generate_wiring(wires, crossings, seed)
+    points = range(1 + wires, 1 + wires + len(w.groups))
+    covers = {(0, 1 + i) for i in range(wires)}
+    covers |= {(1 + wire, p) for p, g in zip(points, w.groups) for wire in g}
+    leq = set(covers)
+    while True:
+        longer = {(a, c) for a, b in leq for b2, c in covers if b == b2} - leq
+        if not longer:
+            break
+        leq |= longer
+    assert {(0, p) for p in points} <= leq
+    assert semilattice_to_json(lattice_from_wiring(w))["leq"] == sorted(map(list, leq))
+
+
 @given(wiring_diagrams())
 @settings(max_examples=40, deadline=None)
 def test_mobius_recursion_on_wiring_lattices(w):
@@ -627,6 +644,12 @@ def check_against_brute_force(relation):
 @example((2, [2, 1, 1, 1], [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)]))
 # point 2 and line 3 lie below line 1; 3 comes first, by rank
 @example((2, [2, 1, 0, 1], [(0, 1), (0, 2), (0, 3), (2, 1), (3, 1)]))
+# a valid order given by its cover pairs alone, listed from the top down:
+# line 3 lies on planes 2 and 1, and point 4 on line 3
+@example((3, [3, 2, 2, 1, 0], [(3, 4), (2, 3), (1, 3), (0, 2), (0, 1)]))
+# the one backward pair (2, 0) closes a cycle through ranks 0, 1 and 2:
+# "flats 1 and 0 are mutually comparable"
+@example((2, [2, 1, 0], [(0, 1), (1, 2), (2, 0)]))
 @settings(max_examples=600, deadline=None)
 def test_validation_and_mobius_match_brute_force(relation):
     check_against_brute_force(relation)
