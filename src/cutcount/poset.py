@@ -51,6 +51,28 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
+def _reach(edges: list[list[int]], steps: range, repeat: bool) -> list[int]:
+    """Row y holds y and every row reachable from it along `edges`.
+
+    Each pass visits rows in `steps` order and reuses rows it has already
+    updated. When every edge leads to a row visited earlier, one pass
+    closes all rows; otherwise, with `repeat`, passes run until none
+    changes.
+    """
+    rows = [0] * len(edges)
+    while True:
+        changed = False
+        for y in steps:
+            row = 1 << y
+            for a in edges[y]:
+                row |= rows[a]
+            if row != rows[y]:
+                rows[y] = row
+                changed = True
+        if not (repeat and changed):
+            return rows
+
+
 class Semilattice:
     """Finite meet-semilattice of flats over an ambient dimension.
 
@@ -118,9 +140,8 @@ def validate_semilattice(
     forward in (rank, id) order, so one forward pass builds each down-set
     from the down-sets of the flat's given predecessors, and one backward
     pass builds each up-set from the up-sets of its given successors: one
-    union per pair. A pair pointing backward proves the input invalid; only
-    then is the closure taken by a fixpoint over the bitmask rows, so that
-    the checks name the same flats as ever.
+    union per pair. A pair pointing backward proves the input invalid; then
+    both passes repeat until no row changes.
 
     Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
     exactly when any two elements with a common upper bound have a least
@@ -169,40 +190,10 @@ def validate_semilattice(
         if pa > pb:
             backward = True
 
-    below = [0] * size
-    above = [0] * size
-    if not backward:
-        # (rank, id) order is then a topological order of the edges, so one
-        # union per edge closes each row: below forward, above backward
-        for y, edges in enumerate(into):
-            row = 1 << y
-            for a in edges:
-                row |= below[a]
-            below[y] = row
-        for x in range(size - 1, -1, -1):
-            row = 1 << x
-            for b in out[x]:
-                row |= above[b]
-            above[x] = row
-    else:
-        # an edge against (rank, id) order proves the input invalid; close by
-        # fixpoint over the bitmask rows so the checks below name the flats at
-        # fault; the last pass walks each closed row into `above`
-        for y, edges in enumerate(into):
-            below[y] = 1 << y
-            for a in edges:
-                below[y] |= 1 << a
-        changed = True
-        while changed:
-            changed = False
-            for y, row in enumerate(below):
-                acc = row
-                for i in _bits(row):
-                    acc |= below[i]
-                    above[i] |= 1 << y
-                if acc != row:
-                    below[y] = acc
-                    changed = True
+    # without a backward edge (rank, id) order is topological, and one pass
+    # each way closes the rows with one union per edge
+    below = _reach(into, range(size), backward)
+    above = _reach(out, range(size - 1, -1, -1), backward)
 
     # the lowest bit of a row is the flat first in (rank, id) order
     for y in ids:
