@@ -4,7 +4,6 @@ hyperplane and pseudoline arrangements."""
 from .errors import (
     CapExceeded,
     CutcountError,
-    DimensionMismatch,
     DuplicateHyperplane,
     FlatNotInLattice,
     MissingMeet,
@@ -28,25 +27,20 @@ from .exactgeom import (
     build_lattice,
     intersect,
     parse_rational,
-    restrict,
 )
 from .faces import (
     FaceRecord,
     enumerate_faces,
     f_vector_oracle,
     faces_to_json,
-    feasible,
 )
 from .poset import (
     BiPolynomial,
     Flat,
     Semilattice,
     f_from_mobius,
-    f_vector_from_semilattice,
     mobius_polynomial,
     semilattice_from_json,
-    semilattice_to_json,
-    upper_set,
     validate_semilattice,
 )
 from .wiring import (

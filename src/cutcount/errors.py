@@ -42,11 +42,7 @@ class FlatNotInLattice(CutcountError):
     """The requested flat is not an intersection of the arrangement."""
 
 
-# --- face enumeration ---
-
-class DimensionMismatch(CutcountError):
-    """A sign vector has the wrong length for the arrangement."""
-
+# --- budgets ---
 
 class CapExceeded(CutcountError):
     """The input is larger than a cap or budget allows."""

@@ -1,5 +1,5 @@
-"""Exact rational hyperplane arrangements: flats, intersection semilattices,
-and restrictions. A hyperplane is one primitive integer row and a flat is
+"""Exact rational hyperplane arrangements: flats and intersection
+semilattices. A hyperplane is one primitive integer row and a flat is
 its integer echelon system, both eliminated without fractions.
 """
 
@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import CapExceeded, DuplicateHyperplane, FlatNotInLattice, ParseError, json_field
+from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field
 from .poset import MAX_FLATS, Flat, Semilattice, _bits, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -103,11 +103,6 @@ class AffineFlat:
     system: tuple[tuple[int, tuple[int, ...]], ...]
     dim: int
     support: frozenset[int] = frozenset()
-
-    @property
-    def equations(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The canonical reduced echelon form: each row over its pivot entry."""
-        return tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in self.system)
 
 
 def _lead(row) -> int | None:
@@ -279,34 +274,6 @@ class _Chart:
             if tk:
                 X = [x + self.scale * tk * c for x, c in zip(X, b)]
         return _reduced(X, den * self.scale)
-
-
-def restrict(A: Arrangement, X: AffineFlat) -> Semilattice:
-    """Semilattice of the arrangement induced on the flat X.
-
-    X must equal, system, dimension and support alike, the flat of A where
-    the hyperplanes whose rows reduce to zero against X's system meet; if
-    not, or if the system is not (int pivot, n + 1 ints) pairs, this raises
-    FlatNotInLattice. Those hyperplanes are dropped, the rest rewritten in
-    X's integer chart coordinates (hyperplanes meeting X in the same set
-    collapse to one), and the lattice is built inside X from scratch.
-    Matches upper_set of the full lattice up to relabeling of supports.
-    """
-    n = A.ambient_dim
-    shaped = type(X.system) is tuple and all(
-        type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and 0 <= pair[0] <= n
-        and type(pair[1]) is tuple and len(pair[1]) == n + 1 and all(type(v) is int for v in pair[1])
-        for pair in X.system)
-    flat = shaped and intersect(A, (j for j, row in enumerate(A.rows) if not any(_reduce(X.system, row))))
-    if flat != X:
-        raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
-    if flat.dim == 0:
-        return validate_semilattice(0, [Flat(0, 0, frozenset(), flat)], [])
-    chart = _Chart(flat, n)
-    rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in flat.support)
-    # a row without coefficients is parallel to X: its trace is empty
-    traces = dict.fromkeys(Hyperplane(row[:-1], row[-1]) for row in rows if any(row[:-1]))
-    return build_lattice(Arrangement(flat.dim, list(traces)))
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:

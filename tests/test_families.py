@@ -10,7 +10,7 @@ import pytest
 
 from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
 from cutcount.faces import DEFAULT_CAP, f_vector_oracle
-from cutcount.poset import f_vector_from_semilattice
+from reference import f_vector_from_semilattice
 
 
 def stirling2(n, k):

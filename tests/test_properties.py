@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement, generate_wiring
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
-from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, intersect, restrict
+from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, intersect
 from cutcount.faces import (
     DEFAULT_CAP,
     _faces,
@@ -18,16 +18,12 @@ from cutcount.faces import (
     _walk_faces,
     enumerate_faces,
     f_vector_oracle,
-    feasible,
 )
 from cutcount.poset import (
     BiPolynomial,
     Flat,
     f_from_mobius,
-    f_vector_from_semilattice,
     mobius_polynomial,
-    semilattice_to_json,
-    upper_set,
     validate_semilattice,
 )
 from cutcount.wiring import (
@@ -37,7 +33,24 @@ from cutcount.wiring import (
     sweep_f_vector,
     validate_wiring,
 )
-from reference import chamber_count, chambers, fm_point, interval, mobius, mobius_sum, rref, wiring_sweep
+from reference import (
+    chamber_count,
+    chambers,
+    equations,
+    f_vector_from_semilattice,
+    feasible,
+    fm_point,
+    interval,
+    leq,
+    mobius,
+    mobius_sum,
+    polynomial_from_json,
+    restrict,
+    rref,
+    semilattice_to_json,
+    upper_set,
+    wiring_sweep,
+)
 
 coefficients = st.integers(-3, 3)
 
@@ -192,7 +205,7 @@ def assert_witnesses_certify(A):
         for h, s in zip(A.hyperplanes, signs):
             value = sum(a * x for a, x in zip(h.normal, w)) - h.offset
             assert (value > 0) - (value < 0) == s, (signs, w)
-        for eq in flat.equations:
+        for eq in equations(flat):
             assert sum(a * x for a, x in zip(eq[:n], w)) == eq[n], (signs, w)
 
 
@@ -288,7 +301,7 @@ def brute_force_lattice(A):
 def test_lattice_equals_brute_force(A):
     L = build_lattice(A)
     flats, doc = brute_force_lattice(A)
-    assert [(L.flats[i].payload.equations, L.flats[i].dim, L.flats[i].support) for i in L.ids()] == flats
+    assert [(equations(L.flats[i].payload), L.flats[i].dim, L.flats[i].support) for i in L.ids()] == flats
     assert semilattice_to_json(L) == doc
 
 
@@ -350,7 +363,7 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
         by_support = {L.flats[y].support: L.flats[y] for y in L.above(x)}
         images = []
         for r in R.ids():
-            point, moves = pull_back(chart, R.flats[r].payload.equations)
+            point, moves = pull_back(chart, equations(R.flats[r].payload))
             support = frozenset(
                 j for j, h in enumerate(A.hyperplanes)
                 if sum(a * v for a, v in zip(h.normal, point)) == h.offset
@@ -434,7 +447,7 @@ def test_mobius_recursion_on_wiring_lattices(w):
     L = lattice_from_wiring(w)
     for x in L.ids():
         for y in L.ids():
-            if x != y and L.leq(x, y):
+            if x != y and leq(L, x, y):
                 assert sum(mobius(L, x, z) for z in interval(L, x, y)) == 0
 
 
@@ -479,7 +492,7 @@ def test_validate_wiring_matches_crossed_pair_reference(case):
 )
 def test_bipolynomial_json_round_trip(terms):
     p = BiPolynomial(terms)
-    assert BiPolynomial.from_json(p.to_json()) == p
+    assert polynomial_from_json(p.to_json()) == p
 
 
 @st.composite

@@ -6,7 +6,6 @@ from cutcount.errors import CapExceeded, OutOfRange, RepeatedCrossing
 from cutcount.poset import (
     MAX_FLATS,
     f_from_mobius,
-    f_vector_from_semilattice,
     mobius_polynomial,
 )
 from cutcount.wiring import (
@@ -18,6 +17,7 @@ from cutcount.wiring import (
     wiring_from_json,
     wiring_to_json,
 )
+from reference import f_vector_from_semilattice
 
 
 def diagram(wires, *events):
