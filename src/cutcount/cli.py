@@ -51,7 +51,8 @@ def load_document(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, and a non-UTF-8 byte, an integer over the digit limit or too deep a nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object with a 'kind' field")
@@ -180,6 +181,7 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     occasionally size 3); generation stops early once no event can be
     added without making some pair cross twice.
     """
+    validate_wiring(WiringDiagram(wires, ()))  # over the flat budget with no events: refused before drawing
     rng = random.Random(seed)
     perm = list(range(wires))
     events: list[CrossingEvent] = []

@@ -9,7 +9,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field
 from .poset import MAX_FLATS, Flat, Semilattice, _bits, validate_semilattice
@@ -216,64 +215,6 @@ def build_lattice(A: Arrangement) -> Semilattice:
     ids = {mask: i for i, mask in enumerate(ordered)}
     flats = [Flat(ids[mask], f.dim, f.support, f) for mask, f in known.items()]
     return validate_semilattice(n, flats, [(ids[a], ids[b]) for a, b in pairs])
-
-
-def _dot(u, v):
-    # exact for int and Fraction entries alike
-    return sum(map(mul, u, v))
-
-
-def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
-    # homogeneous point X / D with D > 0, common factors removed
-    g = gcd(*X, D)
-    return tuple(x // g for x in X), D // g
-
-
-class _Chart:
-    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k.
-
-    Read off the flat's echelon system: `scale` is the lcm of the pivot
-    entries, and each free column gives one primitive integer direction.
-    A hyperplane's row in these coordinates is computed the first time it
-    is asked for, and kept.
-    """
-
-    __slots__ = ("flat", "origin", "scale", "basis", "rows")
-
-    def __init__(self, flat: AffineFlat, n: int) -> None:
-        self.flat = flat
-        self.scale = lcm(*(e[p] for p, e in flat.system))
-        # row r of `scaled` has pivot entry `scale`: x[p] = (r[n] - sum_c r[c] x[c]) / scale
-        scaled = {p: [v * (self.scale // e[p]) for v in e] for p, e in flat.system}
-        self.origin = tuple(scaled[c][n] if c in scaled else 0 for c in range(n))
-        self.basis = []
-        for c in range(n):
-            if c not in scaled:
-                v = [-scaled[p][c] if p in scaled else 0 for p in range(n)]
-                v[c] = self.scale
-                self.basis.append(_primitive(v))
-        self.rows: dict[int, tuple[int, ...]] = {}
-
-    def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
-        """Row (c..., r) with normal . x > offset exactly when c . t > r,
-        for hyperplane j with integer row `plane`."""
-        row = self.rows.get(j)
-        if row is None:
-            row = _primitive((
-                *(self.scale * _dot(plane, b) for b in self.basis),
-                plane[-1] * self.scale - _dot(plane, self.origin),
-            ))
-            self.rows[j] = row
-        return row
-
-    def point(self, T, den: int) -> tuple[tuple[int, ...], int]:
-        """Homogeneous integer coordinates of the point with coordinates
-        T / den: T integer, den > 0."""
-        X = [den * o for o in self.origin]
-        for tk, b in zip(T, self.basis):
-            if tk:
-                X = [x + self.scale * tk * c for x, c in zip(X, b)]
-        return _reduced(X, den * self.scale)
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:

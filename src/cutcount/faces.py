@@ -16,10 +16,11 @@ its flat, and the chart of a cut flat is extended from its parent's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import CapExceeded, FlatNotInLattice
-from .exactgeom import AffineFlat, Arrangement, _Chart, _dot, _extend, _reduce, _reduced, build_lattice, intersect
+from .exactgeom import AffineFlat, Arrangement, _extend, _primitive, _reduce, build_lattice, intersect
 from .poset import Semilattice
 
 DEFAULT_CAP = 12
@@ -41,6 +42,65 @@ class FaceRecord:
     signs: tuple[int, ...]
     dim: int
     flat_id: int
+
+
+def _dot(u, v):
+    # exact for int and Fraction entries alike; stops at the shorter vector, so a
+    # row (normal..., offset) dotted with a point or direction reads only its normal
+    return sum(map(mul, u, v))
+
+
+def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
+    # homogeneous point X / D with D > 0, common factors removed
+    g = gcd(*X, D)
+    return tuple(x // g for x in X), D // g
+
+
+class _Chart:
+    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k.
+
+    Read off the flat's echelon system: `scale` is the lcm of the pivot
+    entries, and each free column gives one primitive integer direction.
+    A hyperplane's row in these coordinates is computed the first time it
+    is asked for, and kept.
+    """
+
+    __slots__ = ("flat", "origin", "scale", "basis", "rows")
+
+    def __init__(self, flat: AffineFlat, n: int) -> None:
+        self.flat = flat
+        self.scale = lcm(*(e[p] for p, e in flat.system))
+        # row r of `scaled` has pivot entry `scale`: x[p] = (r[n] - sum_c r[c] x[c]) / scale
+        scaled = {p: [v * (self.scale // e[p]) for v in e] for p, e in flat.system}
+        self.origin = tuple(scaled[c][n] if c in scaled else 0 for c in range(n))
+        self.basis = []
+        for c in range(n):
+            if c not in scaled:
+                v = [-scaled[p][c] if p in scaled else 0 for p in range(n)]
+                v[c] = self.scale
+                self.basis.append(_primitive(v))
+        self.rows: dict[int, tuple[int, ...]] = {}
+
+    def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
+        """Row (c..., r) with normal . x > offset exactly when c . t > r,
+        for hyperplane j with integer row `plane`."""
+        row = self.rows.get(j)
+        if row is None:
+            row = _primitive((
+                *(self.scale * _dot(plane, b) for b in self.basis),
+                plane[-1] * self.scale - _dot(plane, self.origin),
+            ))
+            self.rows[j] = row
+        return row
+
+    def point(self, T, den: int) -> tuple[tuple[int, ...], int]:
+        """Homogeneous integer coordinates of the point with coordinates
+        T / den: T integer, den > 0."""
+        X = [den * o for o in self.origin]
+        for tk, b in zip(T, self.basis):
+            if tk:
+                X = [x + self.scale * tk * c for x, c in zip(X, b)]
+        return _reduced(X, den * self.scale)
 
 
 def _settle(rows):
@@ -127,68 +187,46 @@ def _fm_point(rows, nvars: int):
     return T, den
 
 
-class _Systems:
-    """Sign systems of one arrangement over int: its integer rows, and the charts
-    of the walk's cuts, each kept under its support: `meet` extends a cut from
-    its parent's chart. An ambient dimension above
-    MAX_AMBIENT_DIM is refused up front. `_dot` of a row (normal..., offset)
-    with a point or direction stops at the shorter vector."""
+def _meet(charts, planes, chart: _Chart, i: int) -> _Chart | None:
+    """Chart where chart's flat meets the integer row planes[i], kept in `charts` under its support
+    plus i; None if i's chart row has no coefficients (parallel). Rows are primitive, so the planes
+    with row `row` or `-row` cut the flat there; the system gains plane i reduced against it."""
+    flat = chart.flat
+    key = flat.support | {i}
+    if key not in charts:
+        cut = None
+        row = chart.row(i, planes[i])
+        if any(row[:-1]):
+            same = (row, tuple(-v for v in row))
+            support = flat.support.union(
+                j for j, plane in enumerate(planes)
+                if j not in flat.support and chart.row(j, plane) in same)
+            cut = charts.get(support)
+            if cut is None:
+                system = _extend(flat.system, _reduce(flat.system, planes[i]))
+                cut = charts[support] = _Chart(AffineFlat(system, flat.dim - 1, support), len(chart.origin))
+        charts[key] = cut
+    return charts[key]
 
-    def __init__(self, A: Arrangement) -> None:
-        if A.ambient_dim > MAX_AMBIENT_DIM:
-            raise CapExceeded(
-                f"ambient dimension {A.ambient_dim} exceeds the face oracle's limit of {MAX_AMBIENT_DIM}"
-            )
-        self.A = A
-        self.planes = A.rows
-        self._charts: dict[frozenset[int], _Chart | None] = {}
 
-    def meet(self, chart: _Chart, i: int) -> _Chart | None:
-        """Chart where chart's flat meets hyperplane i, keyed by its support plus i; None if
-        i's chart row has no coefficients (parallel). Rows are primitive, so the planes with
-        row `row` or `-row` cut the flat there; the system gains plane i reduced against it."""
-        flat = chart.flat
-        key = flat.support | {i}
-        if key not in self._charts:
-            cut = None
-            row = chart.row(i, self.planes[i])
-            if any(row[:-1]):
-                same = (row, tuple(-v for v in row))
-                support = flat.support.union(
-                    j for j, plane in enumerate(self.planes)
-                    if j not in flat.support and chart.row(j, plane) in same)
-                cut = self._charts.get(support)
-                if cut is None:
-                    system = _extend(flat.system, _reduce(flat.system, self.planes[i]))
-                    cut = self._charts[support] = _Chart(AffineFlat(system, flat.dim - 1, support), self.A.ambient_dim)
-            self._charts[key] = cut
-        return self._charts[key]
-
-    def solve(self, chart: _Chart, signs) -> tuple[tuple[int, ...], int] | None:
-        """A point of the chart's flat strictly on side signs[j] of hyperplane
-        j for every nonzero entry, or None when there is none."""
-        rows = [row if s > 0 else tuple(-v for v in row)
-                for j, s in enumerate(signs) if s for row in [chart.row(j, self.planes[j])]]
-        t = _fm_point(rows, len(chart.basis))
-        return None if t is None else chart.point(*t)
-
-    def step(self, start, direction, signs) -> tuple[tuple[int, ...], int]:
-        """start + direction / (k D) for the least k >= 1 keeping every nonzero
-        sign: the exact ratio test along the segment (a zero has slope 0)."""
-        X, D = start
-        k = 1
-        for j, s in enumerate(signs):
-            plane = self.planes[j]
-            slope = s * _dot(plane, direction)
-            if slope < 0:
-                k = max(k, -slope // (s * (_dot(plane, X) - plane[-1] * D)) + 1)
-        return _reduced([k * x + d for x, d in zip(X, direction)], k * D)
+def _step(planes, start, direction, signs) -> tuple[tuple[int, ...], int]:
+    """start + direction / (k D) for the least k >= 1 keeping every nonzero sign
+    on the rows `planes`: the exact ratio test along the segment (a zero has slope 0)."""
+    X, D = start
+    k = 1
+    for j, s in enumerate(signs):
+        plane = planes[j]
+        slope = s * _dot(plane, direction)
+        if slope < 0:
+            k = max(k, -slope // (s * (_dot(plane, X) - plane[-1] * D)) + 1)
+    return _reduced([k * x + d for x, d in zip(X, direction)], k * D)
 
 
 def _walk_faces(A: Arrangement, cap: int):
     """Iterator of (signs, zero_flat, witness) for every face, in 0 < + < -
-    branch order; both budgets are checked before anything is allocated. The
-    witness (X, D) is the point X / D of the face, X integer and D > 0.
+    branch order; both budgets, the plane cap and then MAX_AMBIENT_DIM, are
+    checked before anything is allocated. The witness (X, D) is the point
+    X / D of the face, X integer and D > 0.
 
     Depth first over hyperplanes in input order. Each stacked partial face
     F, relatively open in its flat, carries a witness w: an exact point of F.
@@ -205,24 +243,27 @@ def _walk_faces(A: Arrangement, cap: int):
     m = len(A.hyperplanes)
     if m > cap:
         raise CapExceeded(f"{m} hyperplanes exceeds the cap of {cap}; raise the cap to proceed")
-    return _faces(_Systems(A), m)
+    if A.ambient_dim > MAX_AMBIENT_DIM:
+        raise CapExceeded(f"ambient dimension {A.ambient_dim} exceeds the face oracle's limit"
+                          f" of {MAX_AMBIENT_DIM}")
+    return _faces(A, {})
 
 
-def _faces(systems: _Systems, m: int):
+def _faces(A: Arrangement, charts: dict[frozenset[int], _Chart | None]):
     """The walk of _walk_faces over a stack of partial faces (signs, chart,
     witness). Children are pushed in reverse, so they come off in 0, +, -
     order; at most two siblings wait per level, so faces stream. The root
-    is the whole space, which every arrangement has."""
-    n = systems.A.ambient_dim
-    stack = [((), _Chart(intersect(systems.A, ()), n), ((0,) * n, 1))]
+    is the whole space, which every arrangement has; `charts` is _meet's memo."""
+    n, planes = A.ambient_dim, A.rows
+    stack = [((), _Chart(intersect(A, ()), n), ((0,) * n, 1))]
     while stack:
         signs, chart, w = stack.pop()
         i = len(signs)
-        if i == m:
+        if i == len(planes):
             yield signs, chart.flat, w
             continue
-        cut = systems.meet(chart, i)
-        plane = systems.planes[i]
+        cut = _meet(charts, planes, chart, i)
+        plane = planes[i]
         X, D = w
         if i in chart.flat.support:
             children = ((0, w),)
@@ -233,16 +274,22 @@ def _faces(systems: _Systems, m: int):
                 if _dot(plane, up) < 0:
                     up = tuple(-c for c in up)
                 down = tuple(-c for c in up)
-                children = ((0, w), (1, systems.step(w, up, signs)), (-1, systems.step(w, down, signs)))
+                children = ((0, w), (1, _step(planes, w, up, signs)), (-1, _step(planes, w, down, signs)))
             else:
                 side = 1 if value > 0 else -1
-                p = None if cut is None else systems.solve(cut, signs)
-                if p is None:
+                t = None
+                if cut is not None:
+                    # a point of the cut strictly on side signs[j] of every hyperplane j with a nonzero sign
+                    rows = [row if s > 0 else tuple(-v for v in row)
+                            for j, s in enumerate(signs) if s for row in [cut.row(j, planes[j])]]
+                    t = _fm_point(rows, len(cut.basis))
+                if t is None:
                     children = ((side, w),)
                 else:
+                    p = cut.point(*t)
                     P, Dp = p
                     away = [a * D - b * Dp for a, b in zip(P, X)]
-                    past = (-side, systems.step(p, away, signs))
+                    past = (-side, _step(planes, p, away, signs))
                     children = ((0, p), (side, w), past) if side > 0 else ((0, p), past, (side, w))
         for s, point in reversed(children):
             stack.append(((*signs, s), cut if s == 0 else chart, point))

@@ -23,8 +23,8 @@ from itertools import combinations
 from math import ceil, floor, gcd
 
 from cutcount.errors import CutcountError, FlatNotInLattice, ParseError, UnknownFlat, json_field
-from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, _reduce, build_lattice, intersect
-from cutcount.faces import DEFAULT_CAP, _walk_faces
+from cutcount.exactgeom import Arrangement, Hyperplane, _reduce, build_lattice, intersect
+from cutcount.faces import DEFAULT_CAP, _Chart, _walk_faces
 from cutcount.poset import BiPolynomial, Flat, _bits, f_from_mobius, mobius_polynomial, validate_semilattice
 
 

@@ -218,6 +218,12 @@ class TestGen:
             assert proc.stderr == (f"error: {wires} wires and {events} events make 32769 flats,"
                                    f" over the budget of {MAX_FLATS}\n")
 
+    def test_wire_count_over_the_budget_refused_before_drawing(self):
+        # 10^12 wires would need terabytes of position lists; the budget refuses them first
+        wires = 10**12
+        assert run_in_process(["gen", "--kind", "wiring", "--wires", str(wires), "--seed", "1"]) == (
+            2, "", f"error: {wires} wires and 0 events make {wires + 1} flats, over the budget of {MAX_FLATS}\n")
+
     @pytest.mark.parametrize("wires", range(1, 25))
     def test_generated_wiring_follows_the_crossed_set_rule(self, wires):
         most = wires * (wires - 1) // 2
@@ -268,6 +274,24 @@ class TestBadInput:
         path = tmp_path / "junk.json"
         path.write_text("not json")
         assert run("mobius", str(path)).returncode == 2
+
+    @pytest.mark.parametrize("body", [
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the recursion limit
+        b'{"kind": "wiring\xff"}',  # not UTF-8
+        b"[" + b"1" * 5000 + b"]",  # over the interpreter's integer digit limit
+    ])
+    def test_undecodable_json(self, tmp_path, body):
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        code, out, err = run_in_process(["mobius", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+    def test_json_syntax_error_message(self, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_text("not json")
+        assert run_in_process(["mobius", str(path)]) == (
+            2, "", f"error: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"

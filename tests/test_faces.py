@@ -171,6 +171,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("A, message", [
         (lines(*[(1, 0, k) for k in range(DEFAULT_CAP + 1)]), "^13 hyperplanes exceeds the cap of 12;"),
         (Arrangement(MAX_AMBIENT_DIM + 1, []), "^ambient dimension 65 exceeds the face oracle's limit"),
+        # over both budgets, the plane cap is checked first
+        (Arrangement(MAX_AMBIENT_DIM + 1, [Hyperplane((F(1),) + (F(0),) * MAX_AMBIENT_DIM, F(k))
+                                           for k in range(DEFAULT_CAP + 1)]),
+         "^13 hyperplanes exceeds the cap of 12;"),
     ])
     def test_budgets_trip_before_the_lattice_is_built(self, monkeypatch, A, message):
         def no_lattice(A):

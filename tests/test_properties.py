@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement, generate_wiring
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
-from cutcount.exactgeom import Arrangement, Hyperplane, _Chart, build_lattice, intersect
+from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice, intersect
 from cutcount.faces import (
     DEFAULT_CAP,
+    _Chart,
     _faces,
     _fm_point,
-    _Systems,
     _walk_faces,
     enumerate_faces,
     f_vector_oracle,
@@ -229,10 +229,10 @@ def test_witnesses_certify_every_face_of_the_acceptance_batch():
 @settings(max_examples=150, deadline=None)
 def test_cut_charts_equal_intersect(A):
     # the walk extends each cut chart from its parent; intersect builds it from scratch
-    systems = _Systems(A)
-    for _ in _faces(systems, len(A)):
+    charts = {}
+    for _ in _faces(A, charts):
         pass
-    for key, chart in systems._charts.items():
+    for key, chart in charts.items():
         flat = intersect(A, key)
         assert (chart is None) == (flat is None), sorted(key)
         if chart is not None:
