@@ -9,8 +9,7 @@ from this order alone; every face count is read off the Möbius polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import (
     CapExceeded,
@@ -28,8 +27,7 @@ from .errors import (
 MAX_FLATS = 32_768
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """One element of an intersection semilattice.
 
     `support` lists the indices of the arrangement elements containing the
@@ -124,12 +122,17 @@ def validate_semilattice(
     every pair of flats. Raises NoMinimum, NotAPartialOrder, MissingMeet,
     RankViolation, or UnknownFlat accordingly.
 
-    The closure runs along the given pairs. On valid input every pair points
-    forward in (rank, id) order, so one forward pass builds each down-set
-    from the down-sets of the flat's given predecessors, and one backward
-    pass builds each up-set from the up-sets of its given successors: one
-    union per pair. A pair pointing backward proves the input invalid; then
-    both passes repeat until no row changes.
+    The closure runs along the given pairs. On valid input every pair of
+    distinct flats rises in rank, so (rank, id) order is topological: one
+    forward pass builds each down-set from the down-sets of the flat's given
+    predecessors, and one backward pass builds each up-set from the up-sets
+    of its given successors, one union per pair. Every chain then rises in
+    rank, so the order has no cycle and dimensions strictly decrease along
+    it: the antisymmetry and strict-dimension scans could not fire and are
+    skipped. A pair of distinct flats that does not rise proves the input
+    invalid; then both passes repeat until no row changes, and the
+    antisymmetry, minimum and strict-dimension checks run in that order,
+    one of them raising. The minimum checks run on every input.
 
     Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
     exactly when any two elements with a common upper bound have a least
@@ -164,32 +167,34 @@ def validate_semilattice(
     ids = tuple(sorted(by_id))
     order = tuple(sorted(ids, key=lambda fid: (-by_id[fid].dim, fid)))
     pos = {fid: i for i, fid in enumerate(order)}
+    ranks = tuple(n - by_id[fid].dim for fid in order)
     size = len(order)
     # each given pair is one edge between positions, kept at both ends
     into: list[list[int]] = [[] for _ in range(size)]
     out: list[list[int]] = [[] for _ in range(size)]
-    backward = False
+    rising = True
     for a, b in pairs:
         pa, pb = pos.get(a), pos.get(b)
         if pa is None or pb is None:
             raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a if pa is None else b}")
         into[pb].append(pa)
         out[pa].append(pb)
-        if pa > pb:
-            backward = True
+        if ranks[pa] >= ranks[pb] and pa != pb:
+            rising = False
 
-    # without a backward edge (rank, id) order is topological, and one pass
+    # when every pair rises, (rank, id) order is topological, and one pass
     # each way closes the rows with one union per edge
-    below = _reach(into, range(size), backward)
-    above = _reach(out, range(size - 1, -1, -1), backward)
+    below = _reach(into, range(size), not rising)
+    above = _reach(out, range(size - 1, -1, -1), not rising)
 
-    # the lowest bit of a row is the flat first in (rank, id) order
-    for y in ids:
-        py = pos[y]
-        both = below[py] & above[py] & ~(1 << py)
-        if both:
-            x = order[next(_bits(both))]
-            raise NotAPartialOrder(f"flats {x} and {y} are mutually comparable")
+    if not rising:
+        # the lowest bit of a row is the flat first in (rank, id) order
+        for y in ids:
+            py = pos[y]
+            both = below[py] & above[py] & ~(1 << py)
+            if both:
+                x = order[next(_bits(both))]
+                raise NotAPartialOrder(f"flats {x} and {y} are mutually comparable")
 
     full = (1 << len(order)) - 1
     if full not in above:
@@ -200,27 +205,26 @@ def validate_semilattice(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
-    # rows run in (rank, id) order: the flats of rank at least r start at first[r]
-    ranks = tuple(n - by_id[fid].dim for fid in order)
-    first: dict[int, int] = {}
-    for i, r in enumerate(ranks):
-        first.setdefault(r, i)
-    for y in ids:
-        py = pos[y]
-        start = first[ranks[py]]
-        low = below[py] >> start << start & ~(1 << py)
-        if low:
-            x = order[next(_bits(low))]
-            raise RankViolation(f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {by_id[y].dim}")
+    if not rising:
+        # rows run in (rank, id) order: the flats of rank at least r start at first[r]
+        first: dict[int, int] = {}
+        for i, r in enumerate(ranks):
+            first.setdefault(r, i)
+        for y in ids:
+            py = pos[y]
+            start = first[ranks[py]]
+            low = below[py] >> start << start & ~(1 << py)
+            if low:
+                x = order[next(_bits(low))]
+                raise RankViolation(f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {by_id[y].dim}")
 
     # a failing pair has two minimal common upper bounds, so leaving the flat
     # with the largest down-set out of every reach hides none of them
-    top = max(range(size), key=lambda u: below[u].bit_count())
-    principal_up = set(above)
-    # the rank check left the minimum alone at position 0, comparable with all
+    top = below.index(max(below, key=int.bit_count))
+    # dimensions strictly decrease: the minimum is alone at position 0, below all
     for i, row in enumerate(above[1:], 1):
-        # a maximal flat reaches only its down-set, which the rank check put
-        # before it in (rank, id) order, so it has no partner j > i
+        # a maximal flat reaches only its down-set, which comes before it in
+        # (rank, id) order, so it has no partner j > i
         if row == 1 << i:
             continue
         reach = 0
@@ -229,7 +233,8 @@ def validate_semilattice(
         # comparable pairs pass; each incomparable one is seen once, as j > i
         for j in _bits((reach & ~row) >> i << i):
             common = row & above[j]
-            if common not in principal_up:
+            # a principal up-set starts at its own flat, its lowest bit
+            if above[(common & -common).bit_length() - 1] != common:
                 u1, u2 = [order[u] for u in _bits(common) if below[u] & common == 1 << u][:2]
                 raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                   f" both are minimal above {order[i]} and {order[j]}")

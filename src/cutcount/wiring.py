@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import CapExceeded, OutOfRange, ParseError, RepeatedCrossing, json_field
 from .poset import MAX_FLATS, Flat, Semilattice, validate_semilattice
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
+class CrossingEvent(NamedTuple):
     """k wires at positions top..top+size-1 meet at one point and reverse."""
 
     top: int

@@ -62,6 +62,21 @@ def singleton():
     return make(2, [2], [])
 
 
+class TestFlat:
+    def test_defaults_and_repr(self):
+        f = Flat(3, 1)
+        assert f.support is None and f.payload is None
+        assert repr(f) == "Flat(id=3, dim=1, support=None, payload=None)"
+        assert repr(Flat(0, 2, frozenset({1}))) == "Flat(id=0, dim=2, support=frozenset({1}), payload=None)"
+
+    @pytest.mark.parametrize("name", ["id", "dim", "support", "payload"])
+    def test_fields_are_read_only(self, name):
+        f = Flat(3, 1)
+        with pytest.raises(AttributeError):
+            setattr(f, name, 0)
+        assert f == Flat(3, 1) and hash(f) == hash(Flat(3, 1))
+
+
 class TestValidate:
     def test_singleton_is_valid_with_rank_zero(self, singleton):
         assert singleton.rank == 0

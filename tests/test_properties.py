@@ -663,6 +663,14 @@ def check_against_brute_force(relation):
 # the one backward pair (2, 0) closes a cycle through ranks 0, 1 and 2:
 # "flats 1 and 0 are mutually comparable"
 @example((2, [2, 1, 0], [(0, 1), (1, 2), (2, 0)]))
+# a forward pair between two lines and no cycle: it does not rise in rank,
+# so the strict-dimension scan runs and names line 1 below line 2
+@example((2, [2, 1, 1], [(0, 1), (0, 2), (1, 2)]))
+# a reflexive pair does not count as a failure to rise: the order is valid
+@example((2, [2, 1, 0], [(0, 1), (1, 1), (1, 2)]))
+# lines 1 and 2 of the same dimension form a cycle: antisymmetry fails
+# before the strict-dimension scan
+@example((2, [2, 1, 1, 0], [(0, 1), (1, 2), (2, 1), (2, 3)]))
 @settings(max_examples=600, deadline=None)
 def test_validation_and_mobius_match_brute_force(relation):
     check_against_brute_force(relation)

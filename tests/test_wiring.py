@@ -42,6 +42,18 @@ def generic3():
     return diagram(3, (0, 2), (1, 2), (0, 2))
 
 
+class TestEvent:
+    def test_repr(self):
+        assert repr(CrossingEvent(0, 2)) == "CrossingEvent(top=0, size=2)"
+
+    @pytest.mark.parametrize("name", ["top", "size"])
+    def test_fields_are_read_only(self, name):
+        e = CrossingEvent(0, 2)
+        with pytest.raises(AttributeError):
+            setattr(e, name, 1)
+        assert e == CrossingEvent(0, 2) and hash(e) == hash(CrossingEvent(0, 2))
+
+
 class TestValidate:
     def test_single_crossing_reverses(self):
         w = diagram(2, (0, 2))
