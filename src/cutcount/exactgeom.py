@@ -170,7 +170,7 @@ def intersect(A: Arrangement, support) -> AffineFlat | None:
 def build_lattice(A: Arrangement) -> Semilattice:
     """Intersection semilattice of A, ordered by reverse inclusion.
 
-    Flats are found by saturation over integers: each flat keeps its
+    Flats are found by saturation over integers: each flat is kept as its
     integer echelon system, and each hyperplane outside its support is
     reduced against it once. Hyperplanes with equal reduced rows meet the
     flat in the same flat, which gives each meet its maximal support. A
@@ -182,15 +182,13 @@ def build_lattice(A: Arrangement) -> Semilattice:
     Raises CapExceeded as soon as saturation finds more than MAX_FLATS flats.
     """
     n = A.ambient_dim
-    top = intersect(A, frozenset())
-    assert top is not None
-    known = {0: top}
+    known = {0: intersect(A, frozenset()).system}
     pairs = []
     frontier = [0]
     while frontier:
         fresh = []
         for mask in frontier:
-            system = known[mask].system
+            system = known[mask]
             meets: dict[tuple[int, ...], int] = {}
             for j, row in enumerate(A.rows):
                 if not mask >> j & 1:
@@ -203,17 +201,16 @@ def build_lattice(A: Arrangement) -> Semilattice:
                 if cut not in known:
                     if len(known) == MAX_FLATS:
                         raise CapExceeded(f"saturation passed the budget of {MAX_FLATS} flats")
-                    known[cut] = AffineFlat(_extend(system, row), known[mask].dim - 1, frozenset(_bits(cut)))
+                    known[cut] = _extend(system, row)
                     fresh.append(cut)
-                sub = known[cut].system
-                if any(any(_reduce(sub, e)) for _, e in system):
+                if any(any(_reduce(known[cut], e)) for _, e in system):
                     raise RuntimeError("support order disagrees with equation spans")
                 pairs.append((mask, cut))
         frontier = fresh
 
-    ordered = sorted(known, key=lambda mask: (-known[mask].dim, tuple(_bits(mask))))
+    ordered = sorted(known, key=lambda mask: (len(known[mask]), tuple(_bits(mask))))
     ids = {mask: i for i, mask in enumerate(ordered)}
-    flats = [Flat(ids[mask], f.dim, f.support, f) for mask, f in known.items()]
+    flats = [Flat(ids[mask], n - len(system), frozenset(_bits(mask))) for mask, system in known.items()]
     return validate_semilattice(n, flats, [(ids[a], ids[b]) for a, b in pairs])
 
 

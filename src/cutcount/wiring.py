@@ -78,18 +78,15 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
 
 def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
     """Intersection semilattice: the plane, one line per wire, one point
-    per event (supported by the wires meeting there)."""
+    per event above the lines of the wires meeting there. Its flats carry
+    no supports: the sweep, not the lattice, counts a diagram's faces."""
     if not w.validated:
         raise ValueError("wiring diagram has not been validated")
     n = w.wires
-    flats = [Flat(0, 2, frozenset())]
-    flats += [Flat(1 + i, 1, frozenset([i])) for i in range(n)]
-    pairs = [(0, 1 + i) for i in range(n)]
-    for k, g in enumerate(w.groups):
-        pid = 1 + n + k
-        flats.append(Flat(pid, 0, frozenset(g)))
-        # every event meets at least 2 wires, so (0, wire) and (wire, pid) give 0 <= pid
-        pairs += [(1 + wire, pid) for wire in g]
+    points = range(1 + n, 1 + n + len(w.groups))
+    flats = [Flat(0, 2), *(Flat(1 + i, 1) for i in range(n)), *(Flat(p, 0) for p in points)]
+    # every event meets at least 2 wires, so (0, wire) and (wire, point) give 0 <= point
+    pairs = [(0, 1 + i) for i in range(n)] + [(1 + wire, p) for p, g in zip(points, w.groups) for wire in g]
     return validate_semilattice(2, flats, pairs)
 
 

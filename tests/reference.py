@@ -259,7 +259,7 @@ def upper_set(L, x: int):
         support = fy.support
         if support is not None and root.support is not None:
             support = frozenset(support - root.support)
-        new_flats.append(Flat(fy.id, fy.dim, support, fy.payload))
+        new_flats.append(Flat(fy.id, fy.dim, support))
     # the flats above x form an up-set, so a >= x puts every b >= a in it too
     pairs = [(a, b) for a in keep for b in L.above(a)]
     return validate_semilattice(root.dim, new_flats, pairs)
@@ -333,10 +333,9 @@ def restrict(A, X):
     X must equal, system, dimension and support alike, the flat of A where
     the hyperplanes whose rows reduce to zero against X's system meet; if
     not, or if the system is not (int pivot, n + 1 ints) pairs, this raises
-    FlatNotInLattice. Those hyperplanes are dropped, the rest rewritten in
-    X's integer chart coordinates (hyperplanes meeting X in the same set
-    collapse to one), and the lattice is built inside X from scratch.
-    Matches upper_set of the full lattice up to relabeling of supports.
+    FlatNotInLattice. Unless X is a point, the lattice is built from
+    scratch on `traces(A, X)`. Matches upper_set of the full lattice up to
+    relabeling of supports.
     """
     n = A.ambient_dim
     shaped = type(X.system) is tuple and all(
@@ -347,9 +346,17 @@ def restrict(A, X):
     if flat != X:
         raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
     if flat.dim == 0:
-        return validate_semilattice(0, [Flat(0, 0, frozenset(), flat)], [])
-    chart = _Chart(flat, n)
-    rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in flat.support)
+        return validate_semilattice(0, [Flat(0, 0, frozenset())], [])
+    return build_lattice(traces(A, flat))
+
+
+def traces(A, X):
+    """The arrangement A induces on its flat X of positive dimension: the
+    hyperplanes containing X are dropped, the rest rewritten in X's integer
+    chart coordinates, and hyperplanes meeting X in the same set collapse
+    to one."""
+    chart = _Chart(X, A.ambient_dim)
+    rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in X.support)
     # a row without coefficients is parallel to X: its trace is empty
-    traces = dict.fromkeys(Hyperplane(row[:-1], row[-1]) for row in rows if any(row[:-1]))
-    return build_lattice(Arrangement(flat.dim, list(traces)))
+    planes = dict.fromkeys(Hyperplane(row[:-1], row[-1]) for row in rows if any(row[:-1]))
+    return Arrangement(X.dim, list(planes))

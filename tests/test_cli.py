@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from cutcount import cli
 from cutcount.errors import ParamError, ParseError
 from cutcount.faces import MAX_AMBIENT_DIM
-from cutcount.poset import MAX_FLATS, semilattice_from_json
+from cutcount.poset import MAX_FLATS, MAX_MOBIUS_ADDITIONS, f_from_mobius, semilattice_from_json
 from cutcount.wiring import wiring_from_json
-from reference import draw_wiring
+from reference import draw_wiring, mobius_sum
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
 
@@ -206,6 +206,18 @@ class TestGen:
     def test_mixed_params_rejected(self):
         proc = run("gen", "--kind", "hyperplanes", "--seed", "1", "--wires", "4")
         assert proc.returncode == 2
+        assert proc.stderr == "error: --wires/--crossings apply to --kind wiring only\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "hyperplanes", "--dim", "0"], "--dim must be at least 1"),
+        (["--kind", "hyperplanes", "--count", "-1"], "--count must be nonnegative"),
+        (["--kind", "hyperplanes", "--bound", "0"], "--bound must be at least 1"),
+        (["--kind", "wiring", "--wires", "0"], "--wires must be at least 1"),
+        (["--kind", "wiring", "--crossings", "-1"], "--crossings must be nonnegative"),
+        (["--kind", "wiring", "--dim", "2"], "--dim/--count/--bound apply to --kind hyperplanes only"),
+    ])
+    def test_parameters_out_of_range_refused(self, args, message):
+        assert run_in_process(["gen", *args, "--seed", "1"]) == (2, "", f"error: {message}\n")
 
     def test_seed_is_required(self):
         assert run("gen", "--kind", "wiring").returncode == 2
@@ -393,6 +405,30 @@ class TestBadInput:
         code, out, err = run_in_process([command, str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+
+    @staticmethod
+    def chain(tmp_path, flats):
+        # flat i has rank i and covers flat i - 1: F ranks and F (F - 1) / 2 strict pairs
+        path = tmp_path / f"chain{flats}.json"
+        path.write_text(json.dumps({"kind": "semilattice", "ambient_dim": flats - 1,
+                                    "flats": [{"id": i, "dim": flats - 1 - i} for i in range(flats)],
+                                    "leq": [[i, i + 1] for i in range(flats - 1)]}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["mobius", "fpoly"])
+    def test_tall_chain_refused_before_the_mobius_pass(self, tmp_path, command):
+        # 2001 x 2001000 additions would take minutes; the budget refuses them first
+        assert run_in_process([command, self.chain(tmp_path, 2001)]) == (
+            2, "", "error: 2001 ranks times 2001000 strict order pairs exceed the Möbius budget"
+                   f" of {MAX_MOBIUS_ADDITIONS} column additions\n")
+
+    def test_chain_under_the_mobius_budget(self, tmp_path):
+        # mu on a chain is 1 on each flat and -1 on each cover
+        mu = {(i, i): 1 for i in range(301)} | {(i, i + 1): -1 for i in range(300)}
+        M = mobius_sum(mu, {i: i for i in range(301)})
+        path = self.chain(tmp_path, 301)
+        for command, poly in (("mobius", M), ("fpoly", f_from_mobius(M, 300))):
+            assert run_in_process([command, path]) == (0, json.dumps(poly.to_json()) + "\n", "")
 
     def test_largest_ambient_dimension_enumerated(self, tmp_path):
         path = tmp_path / "doc.json"

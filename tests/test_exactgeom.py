@@ -167,7 +167,7 @@ class TestBuildLattice:
 
     def test_no_duplicate_equation_systems(self, generic3):
         L = build_lattice(generic3)
-        systems = [equations(f.payload) for f in L.flats.values()]
+        systems = [equations(intersect(generic3, f.support)) for f in L.flats.values()]
         assert len(systems) == len(set(systems))
 
     def test_order_respects_dimension(self, generic3):
@@ -209,7 +209,7 @@ class TestBuildLattice:
             for fl in L.flats.values():
                 for j in range(len(A.hyperplanes)):
                     cut = intersect(A, fl.support | {j})
-                    unchanged = cut is not None and equations(cut) == equations(fl.payload)
+                    unchanged = cut is not None and equations(cut) == equations(intersect(A, fl.support))
                     assert unchanged == (j in fl.support)
 
 
@@ -217,32 +217,32 @@ class TestRestrict:
     def test_axes_on_one_line_gives_chain(self, axes):
         L = build_lattice(axes)
         line = next(f for f in L.flats.values() if f.dim == 1)
-        R = restrict(axes, line.payload)
+        R = restrict(axes, intersect(axes, line.support))
         assert sorted(f.dim for f in R.flats.values()) == [0, 1]
         assert R.ambient_dim == 1
 
     def test_at_whole_space_equals_build(self, generic3):
         L = build_lattice(generic3)
-        top = L.flats[L.minimum].payload
+        top = intersect(generic3, L.flats[L.minimum].support)
         assert semilattice_to_json(restrict(generic3, top)) == semilattice_to_json(L)
 
     def test_generic_line_carries_two_points(self, generic3):
         L = build_lattice(generic3)
         line = next(f for f in L.flats.values() if f.dim == 1)
-        R = restrict(generic3, line.payload)
+        R = restrict(generic3, intersect(generic3, line.support))
         assert sorted(f.dim for f in R.flats.values()) == [0, 0, 1]
 
     def test_at_point_is_singleton(self, axes):
         L = build_lattice(axes)
         point = next(f for f in L.flats.values() if f.dim == 0)
-        R = restrict(axes, point.payload)
+        R = restrict(axes, intersect(axes, point.support))
         assert len(R.flats) == 1 and R.ambient_dim == 0
 
     def test_matches_upper_set_as_ranked_poset(self, generic3, concurrent3):
         for A in (generic3, concurrent3):
             L = build_lattice(A)
             for fid in L.ids():
-                R = restrict(A, L.flats[fid].payload)
+                R = restrict(A, intersect(A, L.flats[fid].support))
                 U = upper_set(L, fid)
                 assert sorted(f.dim for f in R.flats.values()) == sorted(
                     f.dim for f in U.flats.values()

@@ -16,6 +16,7 @@ from cutcount.faces import (
     faces_to_json,
     signs_to_string,
 )
+from cutcount.wiring import CrossingEvent, WiringDiagram, lattice_from_wiring, validate_wiring
 from reference import DimensionMismatch, chamber_count, chambers, feasible, signs_from_string, upper_set
 
 
@@ -157,11 +158,14 @@ class TestEnumerate:
                 assert tally[fid] == chamber_count(upper_set(L, fid))
 
     def test_lattice_of_another_arrangement(self, axes):
-        # two parallel lines never meet, so the axes' origin has no flat there
+        # two parallel lines never meet, so the axes' origin has no flat there;
+        # two crossing wires have the axes' order, but their flats carry no supports
         parallel = build_lattice(lines((1, 0, 0), (1, 0, 1)))
-        with pytest.raises(FlatNotInLattice) as info:
-            enumerate_faces(axes, parallel)
-        assert str(info.value) == "the lattice has no flat with support [0, 1]"
+        crossing = lattice_from_wiring(validate_wiring(WiringDiagram(2, (CrossingEvent(0, 2),))))
+        for foreign in (parallel, crossing):
+            with pytest.raises(FlatNotInLattice) as info:
+                enumerate_faces(axes, foreign)
+            assert str(info.value) == "the lattice has no flat with support [0, 1]"
 
     def test_cap(self, axes):
         with pytest.raises(CapExceeded):

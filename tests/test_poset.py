@@ -65,11 +65,13 @@ def singleton():
 class TestFlat:
     def test_defaults_and_repr(self):
         f = Flat(3, 1)
-        assert f.support is None and f.payload is None
-        assert repr(f) == "Flat(id=3, dim=1, support=None, payload=None)"
-        assert repr(Flat(0, 2, frozenset({1}))) == "Flat(id=0, dim=2, support=frozenset({1}), payload=None)"
+        assert f.support is None and Flat._fields == ("id", "dim", "support")
+        assert repr(f) == "Flat(id=3, dim=1, support=None)"
+        assert repr(Flat(0, 2, frozenset({1}))) == "Flat(id=0, dim=2, support=frozenset({1}))"
+        with pytest.raises(TypeError):
+            Flat(3, 1, None, None)
 
-    @pytest.mark.parametrize("name", ["id", "dim", "support", "payload"])
+    @pytest.mark.parametrize("name", ["id", "dim", "support"])
     def test_fields_are_read_only(self, name):
         f = Flat(3, 1)
         with pytest.raises(AttributeError):

@@ -48,6 +48,7 @@ from reference import (
     restrict,
     rref,
     semilattice_to_json,
+    traces,
     upper_set,
     wiring_sweep,
 )
@@ -301,21 +302,25 @@ def brute_force_lattice(A):
 def test_lattice_equals_brute_force(A):
     L = build_lattice(A)
     flats, doc = brute_force_lattice(A)
-    assert [(equations(L.flats[i].payload), L.flats[i].dim, L.flats[i].support) for i in L.ids()] == flats
+    assert [(equations(intersect(A, f.support)), f.dim, f.support) for f in map(L.flats.get, L.ids())] == flats
     assert semilattice_to_json(L) == doc
 
 
 @given(affine_arrangements())
 @settings(max_examples=100, deadline=None)
 def test_flat_identity_is_its_system(A):
-    """A lattice flat equals, with an equal hash, the flat intersect makes
-    from its support, and distinct lattice flats are unequal flats."""
+    """intersect gives a lattice flat back its support and dimension, and an
+    equal flat, with an equal hash, from the support in another order;
+    distinct lattice flats give unequal flats."""
     L = build_lattice(A)
-    payloads = [L.flats[i].payload for i in L.ids()]
-    for f in payloads:
-        again = intersect(A, f.support)
-        assert again == f and hash(again) == hash(f)
-    assert all(a != b for a, b in combinations(payloads, 2))
+    flats = []
+    for f in map(L.flats.get, L.ids()):
+        flat = intersect(A, f.support)
+        assert (flat.support, flat.dim) == (f.support, f.dim)
+        again = intersect(A, sorted(f.support, reverse=True))
+        assert again == flat and hash(again) == hash(flat)
+        flats.append(flat)
+    assert all(a != b for a, b in combinations(flats, 2))
 
 
 def pull_back(chart, equations):
@@ -352,18 +357,18 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
     image and its dimension. Every flat inside X is hit once."""
     L = build_lattice(A)
     for x in L.ids():
-        X = L.flats[x].payload
+        X = intersect(A, L.flats[x].support)
         R, U = restrict(A, X), upper_set(L, x)
         assert sorted(f.dim for f in R.flats.values()) == sorted(f.dim for f in U.flats.values())
         assert mobius_polynomial(R) == mobius_polynomial(U)
         assert f_vector_from_semilattice(R) == f_vector_from_semilattice(U)
         if X.dim == 0:
             continue  # the restriction to a point is that point, in no chart
-        chart = _Chart(X, A.ambient_dim)
+        chart, B = _Chart(X, A.ambient_dim), traces(A, X)
         by_support = {L.flats[y].support: L.flats[y] for y in L.above(x)}
         images = []
         for r in R.ids():
-            point, moves = pull_back(chart, equations(R.flats[r].payload))
+            point, moves = pull_back(chart, equations(intersect(B, R.flats[r].support)))
             support = frozenset(
                 j for j, h in enumerate(A.hyperplanes)
                 if sum(a * v for a, v in zip(h.normal, point)) == h.offset

@@ -101,7 +101,9 @@ class TestLattice:
         L = lattice_from_wiring(triple)
         assert sorted(f.dim for f in L.flats.values()) == [0, 1, 1, 1, 2]
         point = next(f for f in L.flats.values() if f.dim == 0)
-        assert point.support == frozenset([0, 1, 2])
+        # the plane is flat 0 and wire i's line is flat 1 + i
+        assert [x for x in L.ids() if x != point.id and point.id in L.above(x)] == [0, 1, 2, 3]
+        assert all(f.support is None for f in L.flats.values())
 
     def test_generic_three(self, generic3):
         L = lattice_from_wiring(generic3)
