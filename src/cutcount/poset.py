@@ -47,26 +47,21 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _reach(edges: list[list[int]], steps: range, repeat: bool) -> list[int]:
+def _reach(edges: list[list[int]], steps: range) -> list[int]:
     """Row y holds y and every row reachable from it along `edges`.
 
-    Each pass visits rows in `steps` order and reuses rows it has already
-    updated. When every edge leads to a row visited earlier, one pass
-    closes all rows; otherwise, with `repeat`, passes run until none
-    changes.
+    One pass visits rows in `steps` order and builds each row from the rows
+    its edges lead to, one union per edge. It closes every row when every
+    edge leads to a row visited earlier, as on an order whose given pairs
+    all rise in rank.
     """
     rows = [0] * len(edges)
-    while True:
-        changed = False
-        for y in steps:
-            row = 1 << y
-            for a in edges[y]:
-                row |= rows[a]
-            if row != rows[y]:
-                rows[y] = row
-                changed = True
-        if not (repeat and changed):
-            return rows
+    for y in steps:
+        row = 1 << y
+        for a in edges[y]:
+            row |= rows[a]
+        rows[y] = row
+    return rows
 
 
 class Semilattice:
@@ -121,17 +116,18 @@ def validate_semilattice(
     every pair of flats. Raises NoMinimum, NotAPartialOrder, MissingMeet,
     RankViolation, or UnknownFlat accordingly.
 
-    The closure runs along the given pairs. On valid input every pair of
-    distinct flats rises in rank, so (rank, id) order is topological: one
-    forward pass builds each down-set from the down-sets of the flat's given
-    predecessors, and one backward pass builds each up-set from the up-sets
-    of its given successors, one union per pair. Every chain then rises in
-    rank, so the order has no cycle and dimensions strictly decrease along
-    it: the antisymmetry and strict-dimension scans could not fire and are
-    skipped. A pair of distinct flats that does not rise proves the input
-    invalid; then both passes repeat until no row changes, and the
-    antisymmetry, minimum and strict-dimension checks run in that order,
-    one of them raising. The minimum checks run on every input.
+    A given pair (a, b) of distinct flats rises when the rank strictly
+    increases from a to b, and falls otherwise. A falling pair is always a
+    fault, as a <= b with dim a <= dim b cannot hold in a valid order. The
+    first falling pair in input order names the error: when a walk along
+    the given pairs from b reaches a, the flats are mutually comparable
+    (NotAPartialOrder), and otherwise a < b breaks strict dimension
+    (RankViolation). When every pair rises, so does every chain: the order
+    has no cycle and dimensions strictly decrease along it, and (rank, id)
+    order is topological. Then one forward pass builds each down-set from
+    the down-sets of the flat's given predecessors, and one backward pass
+    builds each up-set from the up-sets of its given successors, one union
+    per pair. The minimum checks and the meet check follow.
 
     Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
     exactly when any two elements with a common upper bound have a least
@@ -161,8 +157,7 @@ def validate_semilattice(
     if len(by_id) > MAX_FLATS:
         raise CapExceeded(f"{len(by_id)} flats exceed the budget of {MAX_FLATS}")
 
-    # rows are indexed by position in (rank, id) order; the checks that name
-    # flats walk ids in id order, which fixes the flats each error names
+    # rows are indexed by position in (rank, id) order
     ids = tuple(sorted(by_id))
     order = tuple(sorted(ids, key=lambda fid: (-by_id[fid].dim, fid)))
     pos = {fid: i for i, fid in enumerate(order)}
@@ -171,29 +166,33 @@ def validate_semilattice(
     # each given pair is one edge between positions, kept at both ends
     into: list[list[int]] = [[] for _ in range(size)]
     out: list[list[int]] = [[] for _ in range(size)]
-    rising = True
+    fall = None
     for a, b in pairs:
         pa, pb = pos.get(a), pos.get(b)
         if pa is None or pb is None:
             raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a if pa is None else b}")
         into[pb].append(pa)
         out[pa].append(pb)
-        if ranks[pa] >= ranks[pb] and pa != pb:
-            rising = False
+        if ranks[pa] >= ranks[pb] and pa != pb and fall is None:
+            fall = a, b
 
-    # when every pair rises, (rank, id) order is topological, and one pass
+    if fall is not None:
+        # a <= b with dim a <= dim b: one walk from b tells a cycle from a rank fault
+        a, b = fall
+        seen, stack = {pos[b]}, [pos[b]]
+        while stack:
+            for c in out[stack.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        if pos[a] in seen:
+            raise NotAPartialOrder(f"flats {a} and {b} are mutually comparable")
+        raise RankViolation(f"flat {a} < flat {b} but dimensions are {by_id[a].dim} <= {by_id[b].dim}")
+
+    # every pair rises, so (rank, id) order is topological, and one pass
     # each way closes the rows with one union per edge
-    below = _reach(into, range(size), not rising)
-    above = _reach(out, range(size - 1, -1, -1), not rising)
-
-    if not rising:
-        # the lowest bit of a row is the flat first in (rank, id) order
-        for y in ids:
-            py = pos[y]
-            both = below[py] & above[py] & ~(1 << py)
-            if both:
-                x = order[next(_bits(both))]
-                raise NotAPartialOrder(f"flats {x} and {y} are mutually comparable")
+    below = _reach(into, range(size))
+    above = _reach(out, range(size - 1, -1, -1))
 
     full = (1 << len(order)) - 1
     if full not in above:
@@ -203,19 +202,6 @@ def validate_semilattice(
         raise RankViolation(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
-
-    if not rising:
-        # rows run in (rank, id) order: the flats of rank at least r start at first[r]
-        first: dict[int, int] = {}
-        for i, r in enumerate(ranks):
-            first.setdefault(r, i)
-        for y in ids:
-            py = pos[y]
-            start = first[ranks[py]]
-            low = below[py] >> start << start & ~(1 << py)
-            if low:
-                x = order[next(_bits(low))]
-                raise RankViolation(f"flat {x} < flat {y} but dimensions are {by_id[x].dim} <= {by_id[y].dim}")
 
     # a failing pair has two minimal common upper bounds, so leaving the flat
     # with the largest down-set out of every reach hides none of them

@@ -9,7 +9,7 @@ semilattice and all face counts depend only on the crossing pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import CapExceeded, OutOfRange, ParseError, RepeatedCrossing, json_field
@@ -65,10 +65,13 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
                 f"event {i} covers positions {e.top}..{e.top + e.size - 1} on {w.wires} wires"
             )
         group = perm[e.top: e.top + e.size]
-        # two wires out of index order have crossed once already
-        for a, b in combinations(group, 2):
-            if a > b:
-                raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
+        # two wires out of index order have crossed once already; suffix
+        # minima find the first such pair in combinations(group, 2) order
+        if group != sorted(group):
+            after = list(accumulate(reversed(group), min))[::-1]
+            a = next(a for a, low in zip(group, after[1:]) if a > low)
+            b = next(b for b in group[group.index(a):] if b < a)
+            raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
         perm[e.top: e.top + e.size] = reversed(group)
         groups.append(tuple(group))
     checked = WiringDiagram(w.wires, tuple(w.events), tuple(perm))
@@ -96,6 +99,7 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     Vertices are the events; edges count, per wire, one segment more than
     its crossings; regions start as the n+1 slab intervals, and an event of
     size k closes the k-1 interior intervals and opens k-1 fresh regions.
+    The three counts satisfy f0 - f1 + f2 = 1 by construction.
     """
     if not w.validated:
         raise ValueError("wiring diagram has not been validated")
@@ -104,8 +108,6 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     f0 = len(groups)
     f1 = n + sum(len(g) for g in groups)
     f2 = n + 1 + sum(len(g) - 1 for g in groups)
-    if f0 - f1 + f2 != 1:
-        raise RuntimeError(f"sweep produced f = ({f0}, {f1}, {f2}), which fails f0 - f1 + f2 = 1")
     return f0, f1, f2
 
 

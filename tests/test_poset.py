@@ -141,6 +141,19 @@ class TestValidate:
             make(1, [1] + [0] * (size - 1), [(0, b) for b in range(1, size)])
         assert str(info.value) == f"{size} flats exceed the budget of {MAX_FLATS}"
 
+    def test_falling_chain_at_the_flat_budget(self):
+        # flat i has dimension i and each pair (i, i + 1) falls; the first one
+        # names the fault, and one walk from flat 1 tells a cycle from a rank
+        # fault without closing the order
+        pairs = [(i, i + 1) for i in range(MAX_FLATS - 1)]
+        dims = list(range(MAX_FLATS))
+        with pytest.raises(RankViolation) as info:
+            make(MAX_FLATS - 1, dims, pairs)
+        assert str(info.value) == "flat 0 < flat 1 but dimensions are 0 <= 1"
+        with pytest.raises(NotAPartialOrder) as info:
+            make(MAX_FLATS - 1, dims, pairs + [(MAX_FLATS - 1, 0)])
+        assert str(info.value) == "flats 0 and 1 are mutually comparable"
+
     def test_minimum_with_the_largest_id(self):
         # a point, two lines and the plane, numbered from the top down
         L = make(2, [0, 1, 1, 2], [(3, 1), (3, 2), (1, 0), (2, 0)])
@@ -151,14 +164,16 @@ class TestValidate:
         assert [mobius(L, 3, y) for y in L.ids()] == [1, -1, -1, 1]
 
     # In each case the flat ids run against (rank, id) order: a check that
-    # walked rank positions instead of ids would name other flats.
+    # walked rank positions instead of ids would name other flats. A falling
+    # pair, one whose rank does not rise, is named as it was given.
     @pytest.mark.parametrize("ambient, dims, pairs, error, message", [
-        # the minimum has the largest id and sits below a flat of larger dimension
-        (2, [2, 1], [(1, 0)], RankViolation,
+        # the minimum has the largest id and sits below a flat of smaller dimension
+        (2, [0, 1], [(1, 0)], RankViolation,
          "minimum flat 1 has dimension 1, expected the ambient 2"),
-        # point 1 and line 12 above each other, lines 2..11 in between by position
+        # point 1 and line 12 above each other, lines 2..11 in between by
+        # position; (1, 12) is the one falling pair
         (2, [2, 0] + [1] * 11, [(0, b) for b in range(1, 13)] + [(12, 1), (1, 12)],
-         NotAPartialOrder, "flats 12 and 1 are mutually comparable"),
+         NotAPartialOrder, "flats 1 and 12 are mutually comparable"),
         # a point under a point and a line under a line
         (2, [2, 0, 0, 1, 1], [(0, b) for b in range(1, 5)] + [(2, 1), (4, 3)],
          RankViolation, "flat 2 < flat 1 but dimensions are 0 <= 0"),
@@ -181,9 +196,12 @@ class TestValidate:
         (3, [0, 1, 2, 2, 2, 2, 2, 3],
          [(7, b) for b in range(7)] + [(p, 0) for p in range(2, 7)] + [(2, 1), (3, 1)],
          MissingMeet, "flats 1 and 0 have no greatest lower bound: both are minimal above 2 and 3"),
-        # the one backward pair (2, 0) closes a cycle through ranks 0, 1 and 2
+        # the one falling pair (2, 0) closes a cycle through ranks 0, 1 and
+        # 2: the walk from 0 reaches 2 in two steps
         (2, [2, 1, 0], [(0, 1), (1, 2), (2, 0)], NotAPartialOrder,
-         "flats 1 and 0 are mutually comparable"),
+         "flats 2 and 0 are mutually comparable"),
+        # the minimum has the largest id, but the pair puts a line below the plane
+        (2, [2, 1], [(1, 0)], RankViolation, "flat 1 < flat 0 but dimensions are 1 <= 2"),
     ])
     def test_messages_name_flats_in_id_order(self, ambient, dims, pairs, error, message):
         with pytest.raises(error) as info:
@@ -250,6 +268,27 @@ class TestMobiusPolynomial:
         expected = mobius_sum(mu, {z: 9 - d for z, d in enumerate(dims)})
         assert mobius_polynomial(L) == expected
         assert str(expected) == "x^9 + 2x^5y^4 + y^9 - 2x^5 - 2y^4 + 1"
+
+    # n = 4000 lines through one point: M = x^2 + n xy + y^2 - n x - n y + n - 1
+    # and f = x^2 + 2n x + 2n. A private point on each line as well makes
+    # M = (n + 1) x^2 + n xy + y^2 - 2n x - n y + n - 1 and
+    # f = (n + 1) x^2 + 3n x + 2n. The common point lies above every line, and
+    # the meet check leaves it out of every reach: a check that tested all
+    # C(n, 2) pairs of lines under it would take seconds here.
+    @pytest.mark.parametrize("private, mobius_text, f_text", [
+        (False, "x^2 + 4000xy + y^2 - 4000x - 4000y + 3999", "x^2 + 8000x + 8000"),
+        (True, "4001x^2 + 4000xy + y^2 - 8000x - 4000y + 3999", "4001x^2 + 12000x + 8000"),
+    ], ids=["pencil", "near-pencil"])
+    def test_pencils_of_many_lines(self, private, mobius_text, f_text):
+        n = 4000
+        lines = range(1, n + 1)
+        dims = [2] + [1] * n + [0] * (1 + n * private)
+        pairs = [(0, i) for i in lines] + [(i, n + 1) for i in lines]
+        if private:
+            pairs += [(i, n + 1 + i) for i in lines]
+        M = mobius_polynomial(make(2, dims, pairs))
+        assert str(M) == mobius_text
+        assert str(f_from_mobius(M, 2)) == f_text
 
     def test_atom_count_coefficient(self, concurrent):
         # coefficient of x^0 y^(rk-1) counts atoms negatively

@@ -574,25 +574,25 @@ def sparse_relations(draw):
     return 3, [dims[label.index(i)] for i in range(size)], [(label[a], label[b]) for a, b in pairs]
 
 
-def brute_failure(ambient, dims, leq):
+def brute_failure(ambient, dims, pairs, leq):
     """The (class, message) of the first order check an input fails, or None:
-    flats named by id order, partners by (rank, id) order."""
+    the first given pair of distinct flats whose dimension does not fall,
+    then the minimum checks."""
+    for a, b in pairs:
+        if a != b and dims[a] <= dims[b]:
+            if (b, a) in leq:
+                return NotAPartialOrder, f"flats {a} and {b} are mutually comparable"
+            return RankViolation, f"flat {a} < flat {b} but dimensions are {dims[a]} <= {dims[b]}"
+    # every given pair drops in dimension, so every pair of the closure does:
+    # the order is antisymmetric and strictly graded
+    assert all(x == y or dims[x] > dims[y] for x, y in leq)
     flats = range(len(dims))
-    by_rank = sorted(flats, key=lambda z: (ambient - dims[z], z))
-    for y in flats:
-        for x in by_rank:
-            if x != y and (x, y) in leq and (y, x) in leq:
-                return NotAPartialOrder, f"flats {x} and {y} are mutually comparable"
     bottoms = [m for m in flats if all((m, z) in leq for z in flats)]
     if not bottoms:
         return NoMinimum, "no flat lies below every other flat"
     if dims[bottoms[0]] != ambient:
         return RankViolation, (f"minimum flat {bottoms[0]} has dimension {dims[bottoms[0]]},"
                                f" expected the ambient {ambient}")
-    for y in flats:
-        for x in by_rank:
-            if x != y and (x, y) in leq and dims[x] <= dims[y]:
-                return RankViolation, f"flat {x} < flat {y} but dimensions are {dims[x]} <= {dims[y]}"
     return None
 
 
@@ -604,7 +604,7 @@ def check_against_brute_force(relation):
     size = len(dims)
     flats = range(size)
     leq = brute_order(size, pairs)
-    failure = brute_failure(ambient, dims, leq)
+    failure = brute_failure(ambient, dims, pairs, leq)
 
     def has_meet(a, b):
         lower = [c for c in flats if (c, a) in leq and (c, b) in leq]

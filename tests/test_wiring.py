@@ -83,6 +83,16 @@ class TestValidate:
         with pytest.raises(RepeatedCrossing):
             diagram(3, (0, 3), (1, 2))
 
+    def test_one_event_of_many_wires(self):
+        # the crossing check is linear in the event's size, not quadratic
+        n = 20_000
+        w = diagram(n, (0, n))
+        assert w.groups == (tuple(range(n)),) and w.final_permutation == tuple(range(n - 1, -1, -1))
+        assert sweep_f_vector(w) == (1, 2 * n, 2 * n)
+        with pytest.raises(RepeatedCrossing) as info:
+            diagram(n, (0, n), (0, n))
+        assert str(info.value) == f"wires {n - 2} and {n - 1} cross twice (event 1)"
+
     def test_needs_a_wire(self):
         with pytest.raises(ValueError):
             WiringDiagram(0, ())
