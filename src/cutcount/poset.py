@@ -9,6 +9,7 @@ from this order alone; every face count is read off the Möbius polynomial.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -25,7 +26,8 @@ from .errors import (
 
 # the order rows take 2 F^2 bits: `verify` peaks near 180 MB at this many flats
 MAX_FLATS = 32_768
-# column additions in the Möbius pass: 10^8 take about 1.7 s, 400 times `gen --wires 250`
+# (ranks present) x (strict order pairs), an upper bound on the Möbius pass's column
+# additions: 10^8 take about 1.7 s, 400 times the count of `gen --wires 250`
 MAX_MOBIUS_ADDITIONS = 10**8
 
 
@@ -74,12 +76,13 @@ class Semilattice:
     The order is stored as bitmask rows indexed by position in `order`,
     which lists the flat ids in (rank, id) order: bit i stands for the flat
     at position i, so walking a row's bits visits flats in that order.
-    `above[i]` is the principal up-set of the flat at position i. Ids
-    become positions only at the public methods.
+    `above[i]` is the principal up-set of the flat at position i, and bit i
+    of `maximal` is set when that up-set is the flat alone. Ids become
+    positions only at the public methods.
     """
 
     def __init__(self, ambient_dim: int, flats: dict, ids: tuple, order: tuple, pos: dict,
-                 ranks: tuple, above: list) -> None:
+                 ranks: tuple, above: list, maximal: int) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
         # only the minimum has the ambient dimension, so it comes first
@@ -91,6 +94,7 @@ class Semilattice:
         # largest rank present (may be smaller than the ambient dimension)
         self.rank = ranks[-1]
         self._above = above
+        self._maximal = maximal
 
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
@@ -127,7 +131,8 @@ def validate_semilattice(
     order is topological. Then one forward pass builds each down-set from
     the down-sets of the flat's given predecessors, and one backward pass
     builds each up-set from the up-sets of its given successors, one union
-    per pair. The minimum checks and the meet check follow.
+    per pair. The minimum checks follow. The flats whose up-set is the flat
+    alone are marked maximal, once, for the meet check and the Möbius pass.
 
     Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
     exactly when any two elements with a common upper bound have a least
@@ -203,15 +208,16 @@ def validate_semilattice(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
+    # bit i is set when the flat at position i is maximal: its up-set is itself
+    maximal = int("".join("1" if row.bit_count() == 1 else "0" for row in reversed(above)), 2)
     # a failing pair has two minimal common upper bounds, so leaving the flat
     # with the largest down-set out of every reach hides none of them
     top = below.index(max(below, key=int.bit_count))
-    # dimensions strictly decrease: the minimum is alone at position 0, below all
-    for i, row in enumerate(above[1:], 1):
-        # a maximal flat reaches only its down-set, which comes before it in
-        # (rank, id) order, so it has no partner j > i
-        if row == 1 << i:
-            continue
+    # dimensions strictly decrease, so the minimum is alone at position 0, below
+    # all, and a maximal flat reaches only its down-set, which comes before it in
+    # (rank, id) order: neither has a partner j > i
+    for i in _bits((full ^ maximal) & ~1):
+        row = above[i]
         reach = 0
         for u in _bits(row & ~(1 << top)):
             reach |= below[u]
@@ -224,7 +230,7 @@ def validate_semilattice(
                 raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                   f" both are minimal above {order[i]} and {order[j]}")
 
-    return Semilattice(n, by_id, ids, order, pos, ranks, above)
+    return Semilattice(n, by_id, ids, order, pos, ranks, above, maximal)
 
 
 class BiPolynomial:
@@ -295,6 +301,7 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     Incomparable pairs contribute zero; the y-exponent is normalized by the
     largest rank actually present, not the ambient dimension. CapExceeded is
     raised first if (ranks present) x (strict pairs) > MAX_MOBIUS_ADDITIONS.
+    Maximal flats, which validation marked, are only counted, never visited.
     """
     # S(X) = sum of mu(X, Y) y^(rk - rk Y) over Y >= X, as y-coefficients, by the
     # dual recursion S(X) = y^(rk - rk X) - sum of S(Z) over Z > X (Rota 1964);
@@ -308,22 +315,37 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     if len(levels) * strict > MAX_MOBIUS_ADDITIONS:
         raise CapExceeded(f"{len(levels)} ranks times {strict} strict order pairs exceed the Möbius"
                           f" budget of {MAX_MOBIUS_ADDITIONS} column additions")
-    column = {r: c for c, r in enumerate(levels)}
-    cols = [column[r] for r in ranks]
-    S: list = [None] * len(ranks)
-    for i in range(len(ranks) - 1, -1, -1):
+    # each rank present is one run of positions, ending before ends[c]; lone[c]
+    # masks the maximal flats of column c, each of whose S is the unit column c
+    ends = [bisect_right(ranks, r) for r in levels]
+    lone = [L._maximal & (1 << end) - (1 << start) for start, end in zip([0, *ends], ends)]
+    inner = (1 << len(ranks)) - 1 ^ L._maximal
+    S: dict[int, list] = {}
+    for i in reversed([*_bits(inner)]):
         up = L._above[i] ^ 1 << i
-        # a maximal flat has no Z > X, so S(X) is its unit column
-        s = [-sum(col) for col in zip(*[S[z] for z in _bits(up)])] if up else [0] * len(levels)
-        s[cols[i]] += 1
+        # column c of the sum of S(Z) over Z > X: the maximal Z in column c,
+        # counted, plus the S(Z) of every other Z. One step per column that
+        # holds a maximal Z > X, so many ranks cost nothing where none do
+        counts = [0] * len(levels)
+        hit = up & L._maximal
+        while hit:
+            c = bisect_right(ends, (hit & -hit).bit_length() - 1)
+            mine = hit & lone[c]
+            counts[c] = mine.bit_count()
+            hit ^= mine
+        s = [-sum(col) for col in zip(counts, *[S[z] for z in _bits(up & inner)])]
+        s[bisect_right(ends, i)] += 1
         S[i] = s
-    # M(x, y) is the sum of x^rk(X) S(X): one column sum per rank, and every
-    # rank in `levels` has at least one flat
-    by_rank: list[list] = [[] for _ in levels]
-    for c, s in zip(cols, S):
-        by_rank[c].append(s)
-    return BiPolynomial({(r, rk - levels[c]): sum(col) for r, rows in zip(levels, by_rank)
-                         for c, col in enumerate(zip(*rows))})
+    # M(x, y) is the sum of x^rk(X) S(X): one column sum per rank over the flats
+    # in S, and the maximal flats of rank r add their count at (r, rk - r)
+    by_rank: dict[int, list] = {r: [] for r in levels}
+    for i, s in S.items():
+        by_rank[ranks[i]].append(s)
+    terms = {(r, rk - levels[c]): sum(col) for r, rows in by_rank.items()
+             for c, col in enumerate(zip(*rows))}
+    for r, m in zip(levels, lone):
+        terms[r, rk - r] = terms.get((r, rk - r), 0) + m.bit_count()
+    return BiPolynomial(terms)
 
 
 def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:

@@ -11,9 +11,9 @@ exhaustive face search decides each sign vector here by `fm_point`, and a
 flat's restriction is built from scratch here (`restrict`) and read off
 the order here (`upper_set`), so the tests can compare the two.
 
-The helpers read a semilattice's order, rank and equations, write a
-semilattice document, read a polynomial document and sign strings, and
-read the f-vector off the Möbius side alone.
+The helpers read a semilattice's order, rank, maximal flats and
+equations, write a semilattice document, read a polynomial document and
+sign strings, and read the f-vector off the Möbius side alone.
 """
 
 import random
@@ -229,6 +229,11 @@ def leq(L, x: int, y: int) -> bool:
 
 def rank_of(L, x: int) -> int:
     return L._ranks[_position(L, x)]
+
+
+def maximal_flats(L) -> set[int]:
+    """Ids of the flats that validation marked maximal."""
+    return {L._order[i] for i in _bits(L._maximal)}
 
 
 def f_vector_from_semilattice(L) -> list[int]:

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from math import comb, factorial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -436,6 +437,71 @@ class TestBadInput:
         code, out, _ = run_in_process(["faces", str(path)])
         assert code == 0
         assert json.loads(out)["f_vector"] == [0] * MAX_AMBIENT_DIM + [1]
+
+
+class TestKnownAnswerOrders:
+    """`mobius` and `fpoly` on orders whose Möbius functions have closed forms
+    (Rota 1964; Stanley 2007), built here as semilattice documents. Each
+    expected term comes from its formula, never from cutcount."""
+
+    @staticmethod
+    def terms(tmp_path, ambient, dims, pairs):
+        # dims maps each flat id to its dimension; the term maps of mobius and fpoly
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({"kind": "semilattice", "ambient_dim": ambient,
+                                    "flats": [{"id": i, "dim": d} for i, d in dims.items()],
+                                    "leq": [list(pair) for pair in pairs]}))
+        polys = []
+        for command in ("mobius", "fpoly"):
+            code, out, err = run_in_process([command, str(path)])
+            assert (code, err) == (0, "")
+            polys.append({(t["x"], t["y"]): int(t["coeff"]) for t in json.loads(out)["terms"]})
+        return polys
+
+    @pytest.mark.parametrize("r", range(11))
+    def test_boolean_lattice(self, tmp_path, r):
+        # the subsets S of r elements, each of dimension r - |S|: mu(S, T) is
+        # (-1)^|T - S|, so M = (x + y - 1)^r and f = (x + 2)^r
+        dims = {m: r - m.bit_count() for m in range(2 ** r)}
+        pairs = [(m, m | 1 << e) for m in dims for e in range(r) if not m >> e & 1]
+        M, f = self.terms(tmp_path, r, dims, pairs)
+        assert M == {(a, b): comb(r, a) * comb(r - a, b) * (-1) ** (r - a - b)
+                     for a in range(r + 1) for b in range(r - a + 1)}
+        assert f == {(a, 0): comb(r, a) * 2 ** (r - a) for a in range(r + 1)}
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_partition_lattice(self, tmp_path, n):
+        # the braid arrangement's flats: the set partitions of n coordinates, each
+        # of dimension its block count, a cover merging two blocks. Its
+        # characteristic polynomial t (t - 1) ... (t - n + 1) is t M(0, t), and a
+        # face of dimension k is an ordered partition into k blocks, n! regions
+        partitions = [()]
+        for e in range(n):
+            partitions = [p[:i] + (b + (e,),) + p[i + 1:] for p in partitions for i, b in enumerate(p)] + \
+                         [p + ((e,),) for p in partitions]
+        ids = {p: i for i, p in enumerate(partitions)}
+        pairs = [(ids[p], ids[tuple(sorted(p[:i] + p[i + 1:j] + p[j + 1:] + (tuple(sorted(p[i] + p[j])),)))])
+                 for p in partitions for i in range(len(p)) for j in range(i + 1, len(p))]
+        M, f = self.terms(tmp_path, n, {i: len(p) for p, i in ids.items()}, pairs)
+        chi = [1]
+        for k in range(n):
+            chi = [a - k * b for a, b in zip([0] + chi, chi + [0])]
+        assert {b: v for (a, b), v in M.items() if a == 0} == {j - 1: c for j, c in enumerate(chi) if c}
+        # k blocks in order: the surjections of n coordinates onto k blocks
+        assert f == {(n - k, 0): sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1))
+                     for k in range(1, n + 1)}
+        assert f[0, 0] == factorial(n)
+
+    @pytest.mark.parametrize("flats", [1, 2, 585])
+    def test_chain(self, tmp_path, flats):
+        # mu is 1 on each flat and -1 on each cover, so M is the sum of
+        # x^i y^(rk - i) - x^i y^(rk - i - 1) and f = x^rk + 2 (x^(rk - 1) + ... + 1)
+        # 585 flats are the tallest chain under the Möbius budget: F ranks times F (F - 1) / 2 pairs
+        assert 585 * (585 * 584 // 2) <= MAX_MOBIUS_ADDITIONS < 586 * (586 * 585 // 2)
+        rk = flats - 1
+        M, f = self.terms(tmp_path, rk, {i: rk - i for i in range(flats)}, [(i, i + 1) for i in range(rk)])
+        assert M == {(i, rk - i): 1 for i in range(flats)} | {(i, rk - i - 1): -1 for i in range(rk)}
+        assert f == {(i, 0): 2 for i in range(rk)} | {(rk, 0): 1}
 
 
 @pytest.mark.parametrize("loader, doc", [

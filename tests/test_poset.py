@@ -21,12 +21,14 @@ from cutcount.poset import (
     semilattice_from_json,
     validate_semilattice,
 )
+from cutcount.wiring import CrossingEvent, WiringDiagram, lattice_from_wiring, validate_wiring
 from reference import (
     chamber_count,
     constant,
     f_vector_from_semilattice,
     interval,
     leq,
+    maximal_flats,
     mobius,
     mobius_sum,
     polynomial_from_json,
@@ -42,6 +44,14 @@ def make(ambient, dims, pairs, supports=None):
         for i, d in enumerate(dims)
     ]
     return validate_semilattice(ambient, flats, pairs)
+
+
+def boolean_without_top(r):
+    # the subsets of r elements but the whole set, each a flat of dimension
+    # r - |S| with id the bitmask of S, ordered by one element added at a time
+    masks = range(2 ** r - 1)
+    pairs = [(m, m | 1 << e) for m in masks for e in range(r) if m | 1 << e not in (m, 2 ** r - 1)]
+    return make(r, [r - m.bit_count() for m in masks], pairs)
 
 
 @pytest.fixture
@@ -289,6 +299,24 @@ class TestMobiusPolynomial:
         M = mobius_polynomial(make(2, dims, pairs))
         assert str(M) == mobius_text
         assert str(f_from_mobius(M, 2)) == f_text
+
+    # maximal flats away from the top rank, or at the minimum itself: the pass
+    # counts them per rank and gives none of them a unit column of its own
+    @pytest.mark.parametrize("build, maximal", [
+        # B_4 without its top: the four coatoms
+        (lambda: boolean_without_top(4), {7, 11, 13, 14}),
+        # wires 0 and 1 cross, then wires 0 and 2: the line of wire 3 is maximal
+        # at rank 1, beside the two points at rank 2
+        (lambda: lattice_from_wiring(validate_wiring(
+            WiringDiagram(4, (CrossingEvent(0, 2), CrossingEvent(1, 2))))), {4, 5, 6}),
+        # one flat: the minimum is maximal
+        (lambda: make(2, [2], []), {0}),
+    ], ids=["boolean-without-top", "uncrossed-wire", "one-flat"])
+    def test_maximal_flats_match_the_reference_sum(self, build, maximal):
+        L = build()
+        assert maximal_flats(L) == maximal
+        mu = {(x, y): mobius(L, x, y) for x in L.ids() for y in L.above(x)}
+        assert mobius_polynomial(L) == mobius_sum(mu, {z: rank_of(L, z) for z in L.ids()})
 
     def test_atom_count_coefficient(self, concurrent):
         # coefficient of x^0 y^(rk-1) counts atoms negatively

@@ -42,6 +42,7 @@ from reference import (
     fm_point,
     interval,
     leq,
+    maximal_flats,
     mobius,
     mobius_sum,
     polynomial_from_json,
@@ -633,6 +634,7 @@ def check_against_brute_force(relation):
         return False
     assert failure is None and meets
     event("meet-semilattice")
+    assert maximal_flats(L) == {x for x in flats if L.above(x) == [x]}
 
     def by_rank(zs):
         return sorted(zs, key=lambda z: (ambient - dims[z], z))
