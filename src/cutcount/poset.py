@@ -24,7 +24,9 @@ from .errors import (
     json_field,
 )
 
-# the order rows take 2 F^2 bits: `verify` peaks near 180 MB at this many flats
+# the up-set rows take up to F^2 bits, and the down-set rows, which only some orders
+# need, up to as many: at this many flats `verify` peaks near 110 MB on a wiring
+# diagram, and `mobius` near 190 MB on a chain
 MAX_FLATS = 32_768
 # (ranks present) x (strict order pairs), an upper bound on the Möbius pass's column
 # additions: 10^8 take about 1.7 s, 400 times the count of `gen --wires 250`
@@ -49,21 +51,12 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def _reach(edges: list[list[int]], steps: range) -> list[int]:
-    """Row y holds y and every row reachable from it along `edges`.
-
-    One pass visits rows in `steps` order and builds each row from the rows
-    its edges lead to, one union per edge. It closes every row when every
-    edge leads to a row visited earlier, as on an order whose given pairs
-    all rise in rank.
-    """
-    rows = [0] * len(edges)
-    for y in steps:
-        row = 1 << y
-        for a in edges[y]:
-            row |= rows[a]
-        rows[y] = row
-    return rows
+def _minimal(mask: int, above: list[int]) -> int:
+    """The members of `mask` above no other member: one union per member."""
+    higher = 0
+    for a in _bits(mask):
+        higher |= above[a] ^ 1 << a
+    return mask & ~higher
 
 
 class Semilattice:
@@ -76,13 +69,14 @@ class Semilattice:
     The order is stored as bitmask rows indexed by position in `order`,
     which lists the flat ids in (rank, id) order: bit i stands for the flat
     at position i, so walking a row's bits visits flats in that order.
-    `above[i]` is the principal up-set of the flat at position i, and bit i
-    of `maximal` is set when that up-set is the flat alone. Ids become
-    positions only at the public methods.
+    `above[i]` is the principal up-set of the flat at position i, bit i of
+    `maximal` is set when that up-set is the flat alone, and `strict` counts
+    the strict order pairs, for the Möbius budget. Ids become positions only
+    at the public methods.
     """
 
     def __init__(self, ambient_dim: int, flats: dict, ids: tuple, order: tuple, pos: dict,
-                 ranks: tuple, above: list, maximal: int) -> None:
+                 ranks: tuple, above: list, maximal: int, strict: int) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
         # only the minimum has the ambient dimension, so it comes first
@@ -95,6 +89,7 @@ class Semilattice:
         self.rank = ranks[-1]
         self._above = above
         self._maximal = maximal
+        self._strict = strict
 
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
@@ -128,24 +123,43 @@ def validate_semilattice(
     (NotAPartialOrder), and otherwise a < b breaks strict dimension
     (RankViolation). When every pair rises, so does every chain: the order
     has no cycle and dimensions strictly decrease along it, and (rank, id)
-    order is topological. Then one forward pass builds each down-set from
-    the down-sets of the flat's given predecessors, and one backward pass
-    builds each up-set from the up-sets of its given successors, one union
-    per pair. The minimum checks follow. The flats whose up-set is the flat
-    alone are marked maximal, once, for the meet check and the Möbius pass.
+    order is topological. Then one backward pass builds each up-set from
+    the up-sets of the flat's given successors, one union per pair. The
+    minimum checks follow. The flats whose up-set is the flat alone are
+    marked maximal, and the strict order pairs counted, once, for the meet
+    check and the Möbius pass.
 
-    Meets rest on a lemma: a finite poset with a minimum is a meet-semilattice
-    exactly when any two elements with a common upper bound have a least
-    one. If meets exist, minimal upper bounds u1, u2 of c and d have u1 ^ u2
-    above c and d, so u1 = u2. Conversely the common lower bounds of a and b
-    hold the minimum and lie under a, so their join exists and is a ^ b.
-    So each incomparable pair sharing an upper bound is tested, by whether
-    above[c] & above[d] is a principal up-set; comparable pairs always pass.
-    The flat T with the largest down-set (the cone point of a central
-    arrangement, which lies above every flat) counts for no pair: a pair
-    without a join has two distinct minimal common upper bounds, so at least
-    one of them is not T, and a pair whose only common upper bound is T
-    passes.
+    Meets rest on two lemmas. First, a finite poset with a minimum is a
+    meet-semilattice exactly when any two elements with a common upper bound
+    have a least one. If meets exist, minimal upper bounds u1, u2 of c and d
+    have u1 ^ u2 above c and d, so u1 = u2. Conversely the common lower
+    bounds of a and b hold the minimum and lie under a, so their join exists
+    and is a ^ b. Second, it is enough to ask this of the covers of each
+    flat c, which are its minimal given successors, as the given pairs
+    generate the order. The induction is Newman's (1942), on the size of c's
+    up-set: for a and b above c with a common upper bound, take covers
+    a1 <= a and b1 <= b of c. If a1 = b1, the induction at a1 joins a and b.
+    Otherwise the test gives the join d of a1 and b1, the induction at a1
+    the join e of a and d, and the induction at b1 the join g of e and b.
+    Every common upper bound of a and b lies above d, so above e and g: g is
+    the join of a and b. A maximal cover pairs with nothing, as a pair of
+    covers holding one shares no upper bound.
+
+    So each non-maximal flat c, the minimum included, tests the pairs of its
+    minimal non-maximal given successors: the given successors, less c itself
+    (a pair (c, c) is legal), the maximal flats and every strict up-set of one
+    of them. Without that last step, input that gives every order pair would
+    pair each flat's whole up-set, a cube of work. A pair (a, b) passes when
+    above[a] & above[b] is 0 or a principal up-set. When the pairs outnumber
+    the flats above their members, as on a pencil's plane, each member a is
+    paired only with the members reached from a's up-set, down the given
+    pairs, with the flat T of largest down-set left out (the cone point of a
+    central arrangement, which lies above every flat). A failing pair has two
+    distinct minimal common upper bounds, so at least one of them is not T,
+    and a pair whose only common upper bound is T passes. Only this route
+    needs the down-sets, so they and T are built only when it is first taken.
+    MissingMeet names the first flat in (rank, id) order with a failing
+    pair, its first failing pair, and two minimal common upper bounds of it.
     """
     n = ambient_dim
     if n < 0:
@@ -168,15 +182,13 @@ def validate_semilattice(
     pos = {fid: i for i, fid in enumerate(order)}
     ranks = tuple(n - by_id[fid].dim for fid in order)
     size = len(order)
-    # each given pair is one edge between positions, kept at both ends
-    into: list[list[int]] = [[] for _ in range(size)]
+    # each given pair is one edge between positions, kept at its lower end
     out: list[list[int]] = [[] for _ in range(size)]
     fall = None
     for a, b in pairs:
         pa, pb = pos.get(a), pos.get(b)
         if pa is None or pb is None:
             raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a if pa is None else b}")
-        into[pb].append(pa)
         out[pa].append(pb)
         if ranks[pa] >= ranks[pb] and pa != pb and fall is None:
             fall = a, b
@@ -194,12 +206,16 @@ def validate_semilattice(
             raise NotAPartialOrder(f"flats {a} and {b} are mutually comparable")
         raise RankViolation(f"flat {a} < flat {b} but dimensions are {by_id[a].dim} <= {by_id[b].dim}")
 
-    # every pair rises, so (rank, id) order is topological, and one pass
-    # each way closes the rows with one union per edge
-    below = _reach(into, range(size))
-    above = _reach(out, range(size - 1, -1, -1))
+    # every pair rises, so (rank, id) order is topological, and one backward
+    # pass closes each up-set from those of the flat's given successors
+    above = [0] * size
+    for y in range(size - 1, -1, -1):
+        row = 1 << y
+        for b in out[y]:
+            row |= above[b]
+        above[y] = row
 
-    full = (1 << len(order)) - 1
+    full = (1 << size) - 1
     if full not in above:
         raise NoMinimum("no flat lies below every other flat")
     t = order[above.index(full)]
@@ -208,29 +224,51 @@ def validate_semilattice(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
         )
 
+    counts = list(map(int.bit_count, above))
     # bit i is set when the flat at position i is maximal: its up-set is itself
-    maximal = int("".join("1" if row.bit_count() == 1 else "0" for row in reversed(above)), 2)
-    # a failing pair has two minimal common upper bounds, so leaving the flat
-    # with the largest down-set out of every reach hides none of them
-    top = below.index(max(below, key=int.bit_count))
-    # dimensions strictly decrease, so the minimum is alone at position 0, below
-    # all, and a maximal flat reaches only its down-set, which comes before it in
-    # (rank, id) order: neither has a partner j > i
-    for i in _bits((full ^ maximal) & ~1):
-        row = above[i]
-        reach = 0
-        for u in _bits(row & ~(1 << top)):
-            reach |= below[u]
-        # comparable pairs pass; each incomparable one is seen once, as j > i
-        for j in _bits((reach & ~row) >> i << i):
-            common = row & above[j]
-            # a principal up-set starts at its own flat, its lowest bit
-            if above[(common & -common).bit_length() - 1] != common:
-                u1, u2 = [order[u] for u in _bits(common) if below[u] & common == 1 << u][:2]
-                raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
-                                  f" both are minimal above {order[i]} and {order[j]}")
+    maximal = int("".join(["1" if k == 1 else "0" for k in reversed(counts)]), 2)
+    inner = full ^ maximal
+    below = but_t = None
+    for c in _bits(inner):
+        # the non-maximal flats above c but c: with none, c has no pair to test
+        rest = above[c] & inner ^ 1 << c
+        if not rest:
+            continue
+        given = 0
+        for b in out[c]:
+            given |= 1 << b
+        # the minimal ones among c's given successors in `rest`
+        succ = _minimal(given & rest, above)
+        members = [*_bits(succ)]
+        k = len(members)
+        # every pair, unless the pairs outnumber the unions of the reach route
+        direct = k * (k - 1) // 2 <= sum([counts[a] for a in members])
+        if not direct and below is None:
+            # one push along each given pair closes the down-sets, in (rank, id) order
+            below = [1 << y for y in range(size)]
+            for y in range(size):
+                for b in out[y]:
+                    below[b] |= below[y]
+            but_t = ~(1 << below.index(max(below, key=int.bit_count)))
+        for x, a in enumerate(members):
+            row = above[a]
+            if direct:
+                partners = members[x + 1:]
+            else:
+                # the later members under a common upper bound of a's other than T
+                reach = 0
+                for u in _bits(row & but_t):
+                    reach |= below[u]
+                partners = _bits(reach & succ >> a + 1 << a + 1)
+            for b in partners:
+                common = row & above[b]
+                # a principal up-set starts at its own flat, its lowest bit
+                if common and above[(common & -common).bit_length() - 1] != common:
+                    u1, u2 = [order[u] for u in _bits(_minimal(common, above))][:2]
+                    raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
+                                      f" both are minimal above {order[a]} and {order[b]}")
 
-    return Semilattice(n, by_id, ids, order, pos, ranks, above, maximal)
+    return Semilattice(n, by_id, ids, order, pos, ranks, above, maximal, sum(counts) - size)
 
 
 class BiPolynomial:
@@ -311,7 +349,7 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     # one column per rank present, not per rank up to rk: two flats of dims 10^6
     # and 0 make two columns; column c holds the coefficient of y^(rk - levels[c])
     levels = list(dict.fromkeys(ranks))
-    strict = sum(map(int.bit_count, L._above)) - len(ranks)
+    strict = L._strict
     if len(levels) * strict > MAX_MOBIUS_ADDITIONS:
         raise CapExceeded(f"{len(levels)} ranks times {strict} strict order pairs exceed the Möbius"
                           f" budget of {MAX_MOBIUS_ADDITIONS} column additions")

@@ -445,20 +445,26 @@ class TestKnownAnswerOrders:
     expected term comes from its formula, never from cutcount."""
 
     @staticmethod
-    def terms(tmp_path, ambient, dims, pairs):
-        # dims maps each flat id to its dimension; the term maps of mobius and fpoly
+    def document(tmp_path, ambient, dims, pairs):
+        # dims maps each flat id to its dimension
         path = tmp_path / "order.json"
         path.write_text(json.dumps({"kind": "semilattice", "ambient_dim": ambient,
                                     "flats": [{"id": i, "dim": d} for i, d in dims.items()],
                                     "leq": [list(pair) for pair in pairs]}))
+        return str(path)
+
+    @classmethod
+    def terms(cls, tmp_path, ambient, dims, pairs):
+        # the term maps of mobius and fpoly
+        path = cls.document(tmp_path, ambient, dims, pairs)
         polys = []
         for command in ("mobius", "fpoly"):
-            code, out, err = run_in_process([command, str(path)])
+            code, out, err = run_in_process([command, path])
             assert (code, err) == (0, "")
             polys.append({(t["x"], t["y"]): int(t["coeff"]) for t in json.loads(out)["terms"]})
         return polys
 
-    @pytest.mark.parametrize("r", range(11))
+    @pytest.mark.parametrize("r", range(14))
     def test_boolean_lattice(self, tmp_path, r):
         # the subsets S of r elements, each of dimension r - |S|: mu(S, T) is
         # (-1)^|T - S|, so M = (x + y - 1)^r and f = (x + 2)^r
@@ -469,7 +475,7 @@ class TestKnownAnswerOrders:
                      for a in range(r + 1) for b in range(r - a + 1)}
         assert f == {(a, 0): comb(r, a) * 2 ** (r - a) for a in range(r + 1)}
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_partition_lattice(self, tmp_path, n):
         # the braid arrangement's flats: the set partitions of n coordinates, each
         # of dimension its block count, a cover merging two blocks. Its
@@ -502,6 +508,34 @@ class TestKnownAnswerOrders:
         M, f = self.terms(tmp_path, rk, {i: rk - i for i in range(flats)}, [(i, i + 1) for i in range(rk)])
         assert M == {(i, rk - i): 1 for i in range(flats)} | {(i, rk - i - 1): -1 for i in range(rk)}
         assert f == {(i, 0): 2 for i in range(rk)} | {(rk, 0): 1}
+
+    @pytest.mark.parametrize("flats", [586, 4001])
+    def test_chain_past_the_mobius_budget(self, tmp_path, flats):
+        # F ranks times F (F - 1) / 2 strict pairs: the chain validates, and
+        # both commands refuse it before the Möbius pass
+        rk = flats - 1
+        path = self.document(tmp_path, rk, {i: rk - i for i in range(flats)}, [(i, i + 1) for i in range(rk)])
+        for command in ("mobius", "fpoly"):
+            assert run_in_process([command, path]) == (
+                2, "", f"error: {flats} ranks times {flats * rk // 2} strict order pairs exceed the"
+                       f" Möbius budget of {MAX_MOBIUS_ADDITIONS} column additions\n")
+
+    @pytest.mark.parametrize("r, gone", [(4, (0, 1)), (13, (11, 12)), (5, (0, 1, 2))])
+    def test_boolean_lattice_without_a_flat(self, tmp_path, r, gone):
+        # B_r without the set X: with i < j the last two elements of X, the sets
+        # X - {j} and X - {i} keep their common upper bounds, the sets X + {k},
+        # but have no least one, so the sets X + {k} lose their meet. The
+        # first flat checked with a failing pair is X - {i, j}, its one failing
+        # pair is X - {j} and X - {i}, and the two first sets X + {k} in id
+        # order are named
+        x = sum(1 << e for e in gone)
+        i, j = gone[-2:]
+        dims = {m: r - m.bit_count() for m in range(2 ** r) if m != x}
+        pairs = [(m, m | 1 << e) for m in dims for e in range(r) if not m >> e & 1 and m | 1 << e != x]
+        u1, u2 = [x | 1 << e for e in range(r) if e not in gone][:2]
+        assert run_in_process(["mobius", self.document(tmp_path, r, dims, pairs)]) == (
+            2, "", f"error: flats {u1} and {u2} have no greatest lower bound:"
+                   f" both are minimal above {x ^ 1 << j} and {x ^ 1 << i}\n")
 
 
 @pytest.mark.parametrize("loader, doc", [

@@ -1,5 +1,7 @@
 """Semilattice validation, Möbius values, and the polynomial transforms."""
 
+from math import comb
+
 import pytest
 
 from cutcount.errors import (
@@ -212,6 +214,11 @@ class TestValidate:
          "flats 2 and 0 are mutually comparable"),
         # the minimum has the largest id, but the pair puts a line below the plane
         (2, [2, 1], [(1, 0)], RankViolation, "flat 1 < flat 0 but dimensions are 1 <= 2"),
+        # lines 1 and 5 share points 2 and 3, and the plane is also given as its
+        # own successor: a check that kept it among its successors would find
+        # the lines above it and test no pair
+        (2, [2, 1, 0, 0, 0, 1], [(0, 1), (1, 2), (5, 2), (1, 3), (5, 3), (5, 4), (0, 5), (0, 0)],
+         MissingMeet, "flats 2 and 3 have no greatest lower bound: both are minimal above 1 and 5"),
     ])
     def test_messages_name_flats_in_id_order(self, ambient, dims, pairs, error, message):
         with pytest.raises(error) as info:
@@ -279,12 +286,27 @@ class TestMobiusPolynomial:
         assert mobius_polynomial(L) == expected
         assert str(expected) == "x^9 + 2x^5y^4 + y^9 - 2x^5 - 2y^4 + 1"
 
+    def test_every_order_pair_given(self):
+        # B_5 given all 3^5 order pairs, each flat's pair with itself among
+        # them: a flat's given successors are its whole up-set, and only its
+        # covers may pair up in the meet check, or closed input costs a cube
+        masks = range(32)
+        dims = [5 - m.bit_count() for m in masks]
+        covers = make(5, dims, [(m, m | 1 << e) for m in masks for e in range(5) if not m >> e & 1])
+        closed = make(5, dims, [(m, s) for m in masks for s in masks if m & s == m])
+        assert [closed.above(m) for m in masks] == [covers.above(m) for m in masks]
+        # M = (x + y - 1)^5, as TestKnownAnswerOrders derives it
+        M = BiPolynomial({(a, b): comb(5, a) * comb(5 - a, b) * (-1) ** (5 - a - b)
+                          for a in range(6) for b in range(6 - a)})
+        assert mobius_polynomial(closed) == mobius_polynomial(covers) == M
+
     # n = 4000 lines through one point: M = x^2 + n xy + y^2 - n x - n y + n - 1
     # and f = x^2 + 2n x + 2n. A private point on each line as well makes
     # M = (n + 1) x^2 + n xy + y^2 - 2n x - n y + n - 1 and
-    # f = (n + 1) x^2 + 3n x + 2n. The common point lies above every line, and
-    # the meet check leaves it out of every reach: a check that tested all
-    # C(n, 2) pairs of lines under it would take seconds here.
+    # f = (n + 1) x^2 + 3n x + 2n. The plane's C(n, 2) pairs of lines outnumber
+    # the 2n or 3n flats above them, so the meet check reaches each line's
+    # partners through the down-sets above it, leaving out the common point,
+    # which lies above every line: testing every pair would take seconds here.
     @pytest.mark.parametrize("private, mobius_text, f_text", [
         (False, "x^2 + 4000xy + y^2 - 4000x - 4000y + 3999", "x^2 + 8000x + 8000"),
         (True, "4001x^2 + 4000xy + y^2 - 8000x - 4000y + 3999", "4001x^2 + 12000x + 8000"),

@@ -575,6 +575,28 @@ def sparse_relations(draw):
     return 3, [dims[label.index(i)] for i in range(size)], [(label[a], label[b]) for a, b in pairs]
 
 
+@st.composite
+def pencil_relations(draw):
+    """(2, dims, pairs): the plane, 8-10 lines and 1-4 points, each line on
+    one or two of the points, and sometimes every line on the last point as
+    well. Each line's up-set holds at most 3 flats, so the C(k, 2) pairs of
+    the plane's k lines outnumber the flats above them, and the meet check
+    reaches each line's partners through down-sets. Two lines on the same
+    two points have no meet. Ids are shuffled at the end."""
+    k = draw(st.integers(8, 10))
+    points = range(k + 1, k + 1 + draw(st.integers(1, 4)))
+    cone = draw(st.booleans())
+    pairs = [(0, b) for b in [*range(1, k + 1), *points]]
+    for line in range(1, k + 1):
+        on = draw(st.sets(st.sampled_from(points), min_size=1, max_size=2 - cone))
+        if cone:
+            on.add(points[-1])
+        pairs += [(line, p) for p in on]
+    dims = [2] + [1] * k + [0] * len(points)
+    label = draw(st.permutations(range(len(dims))))
+    return 2, [dims[label.index(i)] for i in range(len(dims))], [(label[a], label[b]) for a, b in pairs]
+
+
 def brute_failure(ambient, dims, pairs, leq):
     """The (class, message) of the first order check an input fails, or None:
     the first given pair of distinct flats whose dimension does not fall,
@@ -678,6 +700,12 @@ def check_against_brute_force(relation):
 # lines 1 and 2 of the same dimension form a cycle: antisymmetry fails
 # before the strict-dimension scan
 @example((2, [2, 1, 1, 0], [(0, 1), (1, 2), (2, 1), (2, 3)]))
+# lines 1 and 5 share points 2 and 3, and the plane is given as its own
+# successor: the meet check must not count it among its successors
+@example((2, [2, 1, 0, 0, 0, 1], [(0, 1), (1, 2), (5, 2), (1, 3), (5, 3), (5, 4), (0, 5), (0, 0)]))
+# lines 2 and 3 on plane 1 meet in points 4 and 5: the one failing pair of
+# covers lies above plane 1, not above the minimum
+@example((3, [3, 2, 1, 1, 0, 0], [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]))
 @settings(max_examples=600, deadline=None)
 def test_validation_and_mobius_match_brute_force(relation):
     check_against_brute_force(relation)
@@ -689,4 +717,10 @@ def test_validation_and_mobius_match_brute_force(relation):
           [(0, b) for b in range(1, 11)] + [(1, 3), (1, 4), (2, 3), (2, 4), (5, 6)]))
 @settings(max_examples=300, deadline=None)
 def test_sparse_orders_take_the_dual_meet_check(relation):
+    assert check_against_brute_force(relation)
+
+
+@given(pencil_relations())
+@settings(max_examples=300, deadline=None)
+def test_pencil_orders_take_the_reach_route(relation):
     assert check_against_brute_force(relation)
