@@ -38,14 +38,13 @@ from .wiring import (
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,
-    validate_wiring,
     wiring_from_json,
     wiring_to_json,
 )
 
 
 def load_document(path: str):
-    """Read a JSON input file; returns (kind, typed payload), validated."""
+    """Read a JSON input file; returns (kind, typed payload), checked."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -181,7 +180,7 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     occasionally size 3); generation stops early once no event can be
     added without making some pair cross twice.
     """
-    validate_wiring(WiringDiagram(wires, ()))  # over the flat budget with no events: refused before drawing
+    WiringDiagram(wires, ())  # over the flat budget with no events: refused before drawing
     rng = random.Random(seed)
     perm = list(range(wires))
     events: list[CrossingEvent] = []
@@ -190,7 +189,7 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     # pair or triple, so rng.choice sees what a full rescan would build
     simple = list(range(wires - 1))
     triple = list(range(wires - 2))
-    # drawing stops one flat past the budget, which validate_wiring then refuses
+    # drawing stops one flat past the budget, which WiringDiagram then refuses
     while simple and len(events) < crossings and wires + len(events) < MAX_FLATS:
         if triple and rng.random() < 0.15:
             top, size = rng.choice(triple), 3
@@ -202,7 +201,7 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
         for t in range(max(top - 2, 0), top + size):
             _mark(simple, t, t < wires - 1 and perm[t] < perm[t + 1])
             _mark(triple, t, t < wires - 2 and perm[t] < perm[t + 1] < perm[t + 2])
-    return validate_wiring(WiringDiagram(wires, tuple(events)))
+    return WiringDiagram(wires, tuple(events))
 
 
 def _mark(positions: list[int], t: int, present: bool) -> None:

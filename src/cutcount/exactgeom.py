@@ -23,11 +23,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(q: Fraction) -> str:
-    """Inverse of parse_rational: "p" for integers, "p/q" otherwise."""
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _primitive(values) -> tuple[int, ...]:
     # the positive multiple of a rational vector with coprime integer entries
     den = lcm(*(v.denominator for v in values))
@@ -242,8 +237,8 @@ def arrangement_to_json(A: Arrangement) -> dict:
         "ambient_dim": A.ambient_dim,
         "hyperplanes": [
             {
-                "normal": [format_rational(v) for v in h.normal],
-                "offset": format_rational(h.offset),
+                "normal": [str(v) for v in h.normal],
+                "offset": str(h.offset),
             }
             for h in A.hyperplanes
         ],

@@ -68,7 +68,8 @@ class Semilattice:
 
     The order is stored as bitmask rows indexed by position in `order`,
     which lists the flat ids in (rank, id) order: bit i stands for the flat
-    at position i, so walking a row's bits visits flats in that order.
+    at position i, so walking a row's bits visits flats in that order. That
+    order is topological, so the minimum is the flat at position 0.
     `above[i]` is the principal up-set of the flat at position i, bit i of
     `maximal` is set when that up-set is the flat alone, and `strict` counts
     the strict order pairs, for the Möbius budget. Ids become positions only
@@ -79,8 +80,6 @@ class Semilattice:
                  ranks: tuple, above: list, maximal: int, strict: int) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
-        # only the minimum has the ambient dimension, so it comes first
-        self.minimum = order[0]
         self._ids = ids
         self._order = order
         self._pos = pos
@@ -125,7 +124,9 @@ def validate_semilattice(
     has no cycle and dimensions strictly decrease along it, and (rank, id)
     order is topological. Then one backward pass builds each up-set from
     the up-sets of the flat's given successors, one union per pair. The
-    minimum checks follow. The flats whose up-set is the flat alone are
+    minimum checks follow: in a topological order only the first flat can lie
+    below all the others, so the order has a minimum exactly when the first
+    up-set holds every flat. The flats whose up-set is the flat alone are
     marked maximal, and the strict order pairs counted, once, for the meet
     check and the Möbius pass.
 
@@ -216,9 +217,9 @@ def validate_semilattice(
         above[y] = row
 
     full = (1 << size) - 1
-    if full not in above:
+    if above[0] != full:
         raise NoMinimum("no flat lies below every other flat")
-    t = order[above.index(full)]
+    t = order[0]
     if by_id[t].dim != n:
         raise RankViolation(
             f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"

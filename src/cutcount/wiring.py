@@ -25,28 +25,24 @@ class CrossingEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class WiringDiagram:
-    """n wires and an ordered event list. validate_wiring attaches
-    final_permutation, which maps exit position to wire index, and `groups`,
-    the wires meeting at each event from top to bottom."""
+    """n wires and an ordered event list, checked when it is built: the
+    constructor runs validate_wiring, which stores `events` as a tuple and
+    `groups`, the wires meeting at each event from top to bottom, so no
+    unchecked diagram exists."""
 
     wires: int
     events: tuple[CrossingEvent, ...]
-    final_permutation: tuple[int, ...] | None = None
-    groups: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.wires < 1:
             raise ValueError("a wiring diagram needs at least one wire")
-
-    @property
-    def validated(self) -> bool:
-        return self.groups is not None
+        validate_wiring(self)
 
 
 def validate_wiring(w: WiringDiagram) -> WiringDiagram:
-    """Run the sweep; return the diagram with final_permutation and groups set.
+    """Run the sweep, set `events` (as a tuple) and `groups` on `w`, and
+    return it. Every WiringDiagram runs this when it is built.
 
     Raises OutOfRange or RepeatedCrossing on the first invalid event, and
     CapExceeded when the lattice would have more than MAX_FLATS flats.
@@ -74,17 +70,15 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
             raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
         perm[e.top: e.top + e.size] = reversed(group)
         groups.append(tuple(group))
-    checked = WiringDiagram(w.wires, tuple(w.events), tuple(perm))
-    object.__setattr__(checked, "groups", tuple(groups))
-    return checked
+    object.__setattr__(w, "events", tuple(w.events))
+    object.__setattr__(w, "groups", tuple(groups))
+    return w
 
 
 def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
     """Intersection semilattice: the plane, one line per wire, one point
     per event above the lines of the wires meeting there. Its flats carry
     no supports: the sweep, not the lattice, counts a diagram's faces."""
-    if not w.validated:
-        raise ValueError("wiring diagram has not been validated")
     n = w.wires
     points = range(1 + n, 1 + n + len(w.groups))
     flats = [Flat(0, 2), *(Flat(1 + i, 1) for i in range(n)), *(Flat(p, 0) for p in points)]
@@ -101,8 +95,6 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     size k closes the k-1 interior intervals and opens k-1 fresh regions.
     The three counts satisfy f0 - f1 + f2 = 1 by construction.
     """
-    if not w.validated:
-        raise ValueError("wiring diagram has not been validated")
     groups = w.groups
     n = w.wires
     f0 = len(groups)
@@ -112,7 +104,7 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
 
 
 def wiring_from_json(doc: dict) -> WiringDiagram:
-    """Build and validate a diagram from its JSON document form."""
+    """Build a diagram, which checks itself, from its JSON document form."""
     try:
         events = tuple(
             CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size"))
@@ -121,7 +113,7 @@ def wiring_from_json(doc: dict) -> WiringDiagram:
         wires = json_field(doc["wires"], int, "wires")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed wiring document: {exc}") from exc
-    return validate_wiring(WiringDiagram(wires, events))
+    return WiringDiagram(wires, events)
 
 
 def wiring_to_json(w: WiringDiagram) -> dict:

@@ -128,9 +128,10 @@ def fm_point(rows, nvars: int):
 
 
 def wiring_sweep(wires: int, events: list[tuple[int, int]]):
-    """(final permutation, groups) of a diagram whose (top, size) events fit
-    its wires, keeping the set of pairs that have crossed. Raises ValueError
-    with cutcount's RepeatedCrossing message at the first pair crossing twice."""
+    """The groups, the wires meeting at each event from top to bottom, of a
+    diagram whose (top, size) events fit its wires, keeping the set of pairs
+    that have crossed. Raises ValueError with cutcount's RepeatedCrossing
+    message at the first pair crossing twice."""
     perm = list(range(wires))
     crossed = set()
     groups = []
@@ -143,7 +144,7 @@ def wiring_sweep(wires: int, events: list[tuple[int, int]]):
             crossed.add(pair)
         perm[top: top + size] = reversed(group)
         groups.append(tuple(group))
-    return tuple(perm), tuple(groups)
+    return tuple(groups)
 
 
 def draw_wiring(wires: int, crossings: int, seed: int) -> list[tuple[int, int]]:
@@ -231,6 +232,12 @@ def rank_of(L, x: int) -> int:
     return L._ranks[_position(L, x)]
 
 
+def minimum(L) -> int:
+    """The flat below every flat: the one whose `above` holds every id."""
+    ids = L.ids()
+    return next(x for x in ids if len(L.above(x)) == len(ids))
+
+
 def maximal_flats(L) -> set[int]:
     """Ids of the flats that validation marked maximal."""
     return {L._order[i] for i in _bits(L._maximal)}
@@ -255,7 +262,7 @@ def upper_set(L, x: int):
     (elements containing x are dropped); upper_set(L, minimum) is L itself.
     """
     keep = L.above(x)
-    if x == L.minimum:
+    if x == minimum(L):
         return L
     root = L.flats[x]
     new_flats = []

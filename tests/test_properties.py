@@ -474,19 +474,18 @@ def event_lists(draw):
 @settings(max_examples=400, deadline=None)
 def test_validate_wiring_matches_crossed_pair_reference(case):
     wires, events = case
-    diagram = WiringDiagram(wires, tuple(CrossingEvent(t, s) for t, s in events))
+    crossings = tuple(CrossingEvent(t, s) for t, s in events)
     try:
         expected = wiring_sweep(wires, events)
     except ValueError as exc:
         try:
-            validate_wiring(diagram)
+            WiringDiagram(wires, crossings)
         except RepeatedCrossing as got:
             assert str(got) == str(exc)
             event("RepeatedCrossing")
             return
         raise AssertionError(f"no RepeatedCrossing: {exc}")
-    w = validate_wiring(diagram)
-    assert (w.final_permutation, w.groups) == expected
+    assert WiringDiagram(wires, crossings).groups == expected
 
 
 @given(
@@ -711,12 +710,14 @@ def test_validation_and_mobius_match_brute_force(relation):
     check_against_brute_force(relation)
 
 
+# sparse orders mostly take the direct pair test, as most of their clusters'
+# atoms are maximal; test_pencil_orders_take_the_reach_route covers the reach route
 @given(sparse_relations())
 # two lines over the same two planes, and a point above an unrelated plane
 @example((3, [3, 2, 2, 1, 1, 2, 0, 2, 2, 2, 2],
           [(0, b) for b in range(1, 11)] + [(1, 3), (1, 4), (2, 3), (2, 4), (5, 6)]))
 @settings(max_examples=300, deadline=None)
-def test_sparse_orders_take_the_dual_meet_check(relation):
+def test_sparse_orders_match_brute_force(relation):
     assert check_against_brute_force(relation)
 
 

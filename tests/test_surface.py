@@ -59,3 +59,37 @@ def test_every_definition_has_a_caller():
                 if used[definition.name] == _named(definition)[definition.name]:
                     uncalled.append(f"{path.stem}.{qualified}")
     assert uncalled == []
+
+
+def _stored(owner: str, node) -> list[tuple[str, str]]:
+    """(owner, field) for each field a definition stores: annotated names in
+    a class body, `self.x = ...` and `object.__setattr__(obj, "x", ...)`."""
+    fields = []
+    if isinstance(node, ast.ClassDef):
+        fields += [(owner, item.target.id) for item in node.body
+                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            fields += [(owner, t.attr) for t in targets if isinstance(t, ast.Attribute)
+                       and isinstance(t.value, ast.Name) and t.value.id == "self"]
+        elif (isinstance(sub, ast.Call) and ast.unparse(sub.func) == "object.__setattr__"
+              and len(sub.args) > 1 and isinstance(sub.args[1], ast.Constant)):
+            fields.append((owner, sub.args[1].value))
+    return fields
+
+
+def test_every_stored_field_has_a_reader():
+    # a field counts as read when the package or the benchmark loads it as an
+    # attribute (`x.name`); storing it, here or in a test, is not a read
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted({
+        f"{path.stem}.{owner}.{name}"
+        for path, tree in trees.items() if path.parent == SRC
+        for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        for owner, name in _stored(node.name, node) if name not in read
+    })
+    assert unread == []

@@ -56,15 +56,16 @@ class TestEvent:
 
 class TestValidate:
     def test_single_crossing_reverses(self):
-        w = diagram(2, (0, 2))
-        assert w.final_permutation == (1, 0)
-        assert w.validated
+        # after wires 0 and 1 cross, position 1 holds wire 0
+        w = diagram(3, (0, 2), (1, 2))
+        assert w.groups == ((0, 1), (0, 2))
 
     def test_generic_three_wires(self, generic3):
-        assert generic3.final_permutation == (2, 1, 0)
+        assert generic3.groups == ((0, 1), (0, 2), (1, 2))
 
     def test_no_events_keeps_order(self):
-        assert diagram(2).final_permutation == (0, 1)
+        assert diagram(2).groups == ()
+        assert diagram(3, (1, 2)).groups == ((1, 2),)
 
     def test_event_past_the_edge(self):
         with pytest.raises(OutOfRange):
@@ -87,8 +88,10 @@ class TestValidate:
         # the crossing check is linear in the event's size, not quadratic
         n = 20_000
         w = diagram(n, (0, n))
-        assert w.groups == (tuple(range(n)),) and w.final_permutation == tuple(range(n - 1, -1, -1))
+        assert w.groups == (tuple(range(n)),)
         assert sweep_f_vector(w) == (1, 2 * n, 2 * n)
+        # the event reverses the wires: wire 0 leaves at position n - 1, above wire n
+        assert diagram(n + 1, (0, n), (n - 1, 2)).groups == (tuple(range(n)), (0, n))
         with pytest.raises(RepeatedCrossing) as info:
             diagram(n, (0, n), (0, n))
         assert str(info.value) == f"wires {n - 2} and {n - 1} cross twice (event 1)"
@@ -99,8 +102,8 @@ class TestValidate:
 
     def test_flat_budget(self):
         # the plane, one line per wire and one point per event
-        assert diagram(MAX_FLATS - 1).validated
-        assert diagram(MAX_FLATS - 2, (0, 2)).validated
+        assert diagram(MAX_FLATS - 1).groups == ()
+        assert diagram(MAX_FLATS - 2, (0, 2)).groups == ((0, 1),)
         for wires, events in [(MAX_FLATS, ()), (MAX_FLATS - 1, ((0, 2),))]:
             with pytest.raises(CapExceeded):
                 diagram(wires, *events)
@@ -124,10 +127,12 @@ class TestLattice:
         assert len(L.flats) == 3 and L.rank == 1
 
     def test_requires_validation(self):
-        events = (CrossingEvent(0, 2),)
-        for w in (WiringDiagram(2, events), WiringDiagram(2, events, (1, 0))):
-            with pytest.raises(ValueError):
-                lattice_from_wiring(w)
+        # no unchecked diagram exists to build a lattice from
+        with pytest.raises(RepeatedCrossing) as info:
+            WiringDiagram(2, (CrossingEvent(0, 2), CrossingEvent(0, 2)))
+        assert str(info.value) == "wires 0 and 1 cross twice (event 1)"
+        with pytest.raises(TypeError):
+            WiringDiagram(2, (CrossingEvent(0, 2),), (1, 0))
 
 
 class TestSweep:
@@ -144,10 +149,12 @@ class TestSweep:
         assert sweep_f_vector(diagram(2)) == (0, 2, 3)
 
     def test_requires_validation(self):
-        events = (CrossingEvent(0, 2),)
-        for w in (WiringDiagram(2, events), WiringDiagram(2, events, (1, 0))):
-            with pytest.raises(ValueError):
-                sweep_f_vector(w)
+        # no unchecked diagram exists to sweep
+        with pytest.raises(RepeatedCrossing) as info:
+            WiringDiagram(2, (CrossingEvent(0, 2), CrossingEvent(0, 2)))
+        assert str(info.value) == "wires 0 and 1 cross twice (event 1)"
+        with pytest.raises(TypeError):
+            WiringDiagram(2, (CrossingEvent(0, 2),), (1, 0))
 
     def test_agrees_with_lattice(self, triple, generic3):
         for w in (triple, generic3, diagram(2), generic_diagram(5)):
@@ -188,7 +195,7 @@ class TestJson:
     def test_round_trip(self, generic3):
         doc = wiring_to_json(generic3)
         back = wiring_from_json(doc)
-        assert back.final_permutation == generic3.final_permutation
+        assert back.groups == generic3.groups
         assert wiring_to_json(back) == doc
 
     def test_fixture_parses(self, fixture_doc):
