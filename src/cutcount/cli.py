@@ -44,7 +44,7 @@ from .wiring import (
 
 
 def load_document(path: str):
-    """Read a JSON input file; returns (kind, typed payload), checked."""
+    """Read a JSON input file; returns (kind, typed payload), checked. Each ParseError names `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -63,8 +63,8 @@ def load_document(path: str):
             return kind, wiring_from_json(doc)
         if kind == "semilattice":
             return kind, semilattice_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed {kind} document: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     raise ParseError(f"{path}: unknown document kind {kind!r}")
 
 

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the JSON type check the
-document loaders share."""
+"""Exception types shared across the package, and the JSON type check and
+the malformed-document boundary the document loaders share."""
+
+from contextlib import contextmanager
 
 
 class CutcountError(Exception):
@@ -51,7 +53,7 @@ class CapExceeded(CutcountError):
 # --- wiring diagrams ---
 
 class OutOfRange(CutcountError):
-    """A crossing event does not fit the current wire positions."""
+    """A diagram has no wire, or an event does not fit the wire positions."""
 
 
 class RepeatedCrossing(CutcountError):
@@ -65,11 +67,24 @@ class ParseError(CutcountError):
 
 
 def json_field(value, kind: type, what: str):
-    """`value` when its JSON type is exactly `kind`, int or list; ParseError
-    otherwise, so nothing is coerced: `true` and `3.9` are not integers."""
+    """`value` when its JSON type is exactly `kind`: int, list, or dict (an
+    object); ParseError otherwise, so nothing is coerced: `true` is no int."""
     if type(value) is not kind:
-        raise ParseError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+        raise ParseError(f"{what} must be a JSON {'object' if kind is dict else kind.__name__}, got {value!r}")
     return value
+
+
+@contextmanager
+def malformed(kind: str):
+    """While a `kind` document is read, a KeyError (a missing field), TypeError,
+    ValueError or ParseError becomes ParseError("malformed <kind> document:
+    ..."); any other CutcountError is a validation fault and passes through."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"malformed {kind} document: missing field {exc}") from exc
+    except (TypeError, ValueError, ParseError) as exc:
+        raise ParseError(f"malformed {kind} document: {exc}") from exc
 
 
 class UnsupportedKind(CutcountError):

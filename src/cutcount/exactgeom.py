@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field
+from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field, malformed
 from .poset import MAX_FLATS, Flat, Semilattice, _bits, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -210,24 +210,15 @@ def build_lattice(A: Arrangement) -> Semilattice:
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:
-    """Build an Arrangement from its JSON document form."""
-    try:
+    """Build an Arrangement from its JSON document form; a shape fault is a ParseError."""
+    with malformed("hyperplanes"):
         n = json_field(doc["ambient_dim"], int, "ambient_dim")
-        raw = json_field(doc["hyperplanes"], list, "hyperplanes")
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed arrangement document: {exc}") from exc
-    planes = []
-    for item in raw:
-        try:
+        planes = []
+        for item in json_field(doc["hyperplanes"], list, "hyperplanes"):
+            item = json_field(item, dict, "hyperplane")
             normal = tuple(parse_rational(v) for v in json_field(item["normal"], list, "normal"))
-            offset = parse_rational(item["offset"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed hyperplane entry: {item!r}") from exc
-        try:
-            planes.append(Hyperplane(normal, offset))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    return Arrangement(n, planes)
+            planes.append(Hyperplane(normal, parse_rational(item["offset"])))
+        return Arrangement(n, planes)
 
 
 def arrangement_to_json(A: Arrangement) -> dict:

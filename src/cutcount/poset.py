@@ -18,10 +18,10 @@ from .errors import (
     NegativeCoefficient,
     NoMinimum,
     NotAPartialOrder,
-    ParseError,
     RankViolation,
     UnknownFlat,
     json_field,
+    malformed,
 )
 
 # the up-set rows take up to F^2 bits, and the down-set rows, which only some orders
@@ -76,11 +76,10 @@ class Semilattice:
     at the public methods.
     """
 
-    def __init__(self, ambient_dim: int, flats: dict, ids: tuple, order: tuple, pos: dict,
+    def __init__(self, ambient_dim: int, flats: dict, order: tuple, pos: dict,
                  ranks: tuple, above: list, maximal: int, strict: int) -> None:
         self.ambient_dim = ambient_dim
         self.flats: dict[int, Flat] = flats
-        self._ids = ids
         self._order = order
         self._pos = pos
         self._ranks = ranks
@@ -92,7 +91,7 @@ class Semilattice:
 
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
-        return self._ids
+        return tuple(sorted(self.flats))
 
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
@@ -178,8 +177,7 @@ def validate_semilattice(
         raise CapExceeded(f"{len(by_id)} flats exceed the budget of {MAX_FLATS}")
 
     # rows are indexed by position in (rank, id) order
-    ids = tuple(sorted(by_id))
-    order = tuple(sorted(ids, key=lambda fid: (-by_id[fid].dim, fid)))
+    order = tuple(sorted(by_id, key=lambda fid: (-by_id[fid].dim, fid)))
     pos = {fid: i for i, fid in enumerate(order)}
     ranks = tuple(n - by_id[fid].dim for fid in order)
     size = len(order)
@@ -269,7 +267,7 @@ def validate_semilattice(
                     raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                       f" both are minimal above {order[a]} and {order[b]}")
 
-    return Semilattice(n, by_id, ids, order, pos, ranks, above, maximal, sum(counts) - size)
+    return Semilattice(n, by_id, order, pos, ranks, above, maximal, sum(counts) - size)
 
 
 class BiPolynomial:
@@ -409,17 +407,15 @@ def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:
 
 
 def semilattice_from_json(doc: dict) -> Semilattice:
-    """Build and validate a semilattice from its JSON document form."""
-    try:
-        flats = [
-            Flat(json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim"))
-            for item in json_field(doc["flats"], list, "flats")
-        ]
-        pairs = [
-            tuple(json_field(v, int, "leq entry") for v in json_field(pair, list, "leq pair"))
-            for pair in json_field(doc["leq"], list, "leq")
-        ]
-        ambient_dim = json_field(doc["ambient_dim"], int, "ambient_dim")
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed semilattice document: {exc}") from exc
-    return validate_semilattice(ambient_dim, flats, pairs)
+    """Build and validate a semilattice from its JSON form; a shape fault is a ParseError."""
+    with malformed("semilattice"):
+        flats = []
+        for item in json_field(doc["flats"], list, "flats"):
+            item = json_field(item, dict, "flat")
+            flats.append(Flat(json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim")))
+        pairs = []
+        for pair in json_field(doc["leq"], list, "leq"):
+            if len(json_field(pair, list, "leq pair")) != 2:
+                raise ValueError(f"leq pair must have 2 entries, got {pair!r}")
+            pairs.append(tuple(json_field(v, int, "leq entry") for v in pair))
+        return validate_semilattice(json_field(doc["ambient_dim"], int, "ambient_dim"), flats, pairs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import CapExceeded, OutOfRange, ParseError, RepeatedCrossing, json_field
+from .errors import CapExceeded, OutOfRange, RepeatedCrossing, json_field, malformed
 from .poset import MAX_FLATS, Flat, Semilattice, validate_semilattice
 
 
@@ -36,7 +36,7 @@ class WiringDiagram:
 
     def __post_init__(self) -> None:
         if self.wires < 1:
-            raise ValueError("a wiring diagram needs at least one wire")
+            raise OutOfRange("a wiring diagram needs at least one wire")
         validate_wiring(self)
 
 
@@ -104,16 +104,13 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
 
 
 def wiring_from_json(doc: dict) -> WiringDiagram:
-    """Build a diagram, which checks itself, from its JSON document form."""
-    try:
-        events = tuple(
-            CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size"))
-            for e in json_field(doc["events"], list, "events")
-        )
-        wires = json_field(doc["wires"], int, "wires")
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed wiring document: {exc}") from exc
-    return WiringDiagram(wires, events)
+    """Build a diagram, which checks itself, from its JSON form; a shape fault is a ParseError."""
+    with malformed("wiring"):
+        events = []
+        for e in json_field(doc["events"], list, "events"):
+            e = json_field(e, dict, "event")
+            events.append(CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size")))
+        return WiringDiagram(json_field(doc["wires"], int, "wires"), events)
 
 
 def wiring_to_json(w: WiringDiagram) -> dict:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cutcount import cli
 from cutcount.errors import ParamError, ParseError
+from cutcount.exactgeom import arrangement_from_json
 from cutcount.faces import MAX_AMBIENT_DIM
 from cutcount.poset import MAX_FLATS, MAX_MOBIUS_ADDITIONS, f_from_mobius, semilattice_from_json
 from cutcount.wiring import wiring_from_json
@@ -549,11 +550,57 @@ class TestKnownAnswerOrders:
     (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 0, "flats": [{"id": 0}], "leq": []}),
     (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 0, "flats": [0], "leq": []}),
     (semilattice_from_json, "semilattice"),
+    # faults the constructors report as ValueError are shape faults too
+    (arrangement_from_json, {"kind": "hyperplanes", "ambient_dim": 0, "hyperplanes": []}),
+    (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 1,
+                             "flats": [{"id": 0, "dim": 1}, {"id": 0, "dim": 0}], "leq": []}),
+    (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 1,
+                             "flats": [{"id": 0, "dim": 1}, {"id": 1, "dim": 0}], "leq": [[0]]}),
+    (semilattice_from_json, {"kind": "semilattice", "ambient_dim": 1,
+                             "flats": [{"id": 0, "dim": 1}, {"id": 1, "dim": 0}], "leq": [[0, 1, 1]]}),
 ])
 def test_loaders_raise_parse_error(loader, doc):
-    # library callers get the same error class the hyperplane loader raises
-    with pytest.raises(ParseError):
+    # library callers get ParseError from every loader, named by document kind
+    kind = {arrangement_from_json: "hyperplanes", wiring_from_json: "wiring",
+            semilattice_from_json: "semilattice"}[loader]
+    with pytest.raises(ParseError, match=f"^malformed {kind} document: "):
         loader(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "semilattice", "flats": [], "leq": []},
+     "malformed semilattice document: missing field 'ambient_dim'"),
+    ({"kind": "wiring", "wires": 3.5, "events": []},
+     "malformed wiring document: wires must be a JSON int, got 3.5"),
+    ({"kind": "wiring", "wires": 3, "events": [[0, 2]]},
+     "malformed wiring document: event must be a JSON object, got [0, 2]"),
+    ({"kind": "hyperplanes", "ambient_dim": 2, "hyperplanes": [["1", "0"]]},
+     "malformed hyperplanes document: hyperplane must be a JSON object, got ['1', '0']"),
+    ({"kind": "semilattice", "ambient_dim": 1, "flats": [{"id": 0, "dim": 1}, {"id": 1, "dim": 0}],
+      "leq": [[0, 1, 1]]},
+     "malformed semilattice document: leq pair must have 2 entries, got [0, 1, 1]"),
+    ({"kind": "semilattice", "ambient_dim": 1, "flats": [{"id": 0, "dim": 1}, {"id": 1, "dim": 0}], "leq": [[0]]},
+     "malformed semilattice document: leq pair must have 2 entries, got [0]"),
+    ({"kind": "semilattice", "ambient_dim": 1, "flats": [{"id": 0, "dim": 1}, {"id": 0, "dim": 0}], "leq": []},
+     "malformed semilattice document: duplicate flat id 0"),
+    ({"kind": "hyperplanes", "ambient_dim": 2, "hyperplanes": [{"normal": ["0", "0"], "offset": "1"}]},
+     "malformed hyperplanes document: hyperplane normal must be nonzero"),
+    ({"kind": "hyperplanes", "ambient_dim": 2, "hyperplanes": [{"normal": ["1"], "offset": "1"}]},
+     "malformed hyperplanes document: hyperplane 0 has 1 coordinates, expected 2"),
+    ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1.5"], "offset": "0"}]},
+     "malformed hyperplanes document: not a rational literal: '1.5'"),
+    # validation faults carry no path: the document is well formed
+    ({"kind": "wiring", "wires": 0, "events": []}, "a wiring diagram needs at least one wire"),
+    ({"kind": "wiring", "wires": 3, "events": [{"top": 2, "size": 2}]}, "event 0 covers positions 2..3 on 3 wires"),
+])
+@pytest.mark.parametrize("command", ["mobius", "fpoly", "faces", "verify"])
+def test_refusal_messages(tmp_path, command, doc, message):
+    # a shape fault names the file and the document kind; a validation fault
+    # prints its own message; neither carries Python's exception text
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    prefix = f"{path}: " if message.startswith("malformed ") else ""
+    assert run_in_process([command, str(path)]) == (2, "", f"error: {prefix}{message}\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -650,6 +697,8 @@ def test_fuzzed_documents_exit_cleanly(tmp_path, doc):
         code, out, err = run_in_process([command, str(path)])
         if code == 2:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            # one shape for every shape fault, whichever loader found it
+            assert "malformed" not in err or err.startswith(f"error: {path}: malformed "), err
         elif code == 1:
             assert command == "verify" and out.endswith("match: FAIL\n")
         else:

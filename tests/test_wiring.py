@@ -97,7 +97,7 @@ class TestValidate:
         assert str(info.value) == f"wires {n - 2} and {n - 1} cross twice (event 1)"
 
     def test_needs_a_wire(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="^a wiring diagram needs at least one wire$"):
             WiringDiagram(0, ())
 
     def test_flat_budget(self):
