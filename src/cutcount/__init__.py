@@ -21,7 +21,6 @@ from .errors import (
 from .exactgeom import (
     AffineFlat,
     Arrangement,
-    Hyperplane,
     arrangement_from_json,
     arrangement_to_json,
     build_lattice,

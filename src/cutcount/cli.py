@@ -21,7 +21,7 @@ from itertools import product
 from .errors import CutcountError, ParamError, ParseError, UnsupportedKind
 from .exactgeom import (
     Arrangement,
-    Hyperplane,
+    _canonical,
     arrangement_from_json,
     arrangement_to_json,
     build_lattice,
@@ -148,29 +148,35 @@ def generate_arrangement(dim: int, count: int, bound: int, seed: int) -> Arrange
         raise ParamError("--dim must be at least 1")
     if count < 0:
         raise ParamError("--count must be nonnegative")
+    if count >= MAX_FLATS:
+        # m distinct planes make the whole space and m flats of dimension dim - 1
+        raise ParamError(f"{count} hyperplanes make at least {count + 1} flats, over the budget of {MAX_FLATS}")
     if bound < 1:
         raise ParamError("--bound must be at least 1")
-    # over half of all p, q <= bound are coprime: over bound^2 values, bound^(2 dim) planes
-    if count > bound ** (2 * dim):
-        # the draw space is finite: a plane is the rest of a drawn vector over its lead c > 0
-        values = {Fraction(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
-        space = (tuple(v / c for v in rest) for m in range(dim, 0, -1)
-                 for c in [v for v in values if v > 0] for rest in product(values, repeat=m))
-        seen = set()
-        if not any(seen.add(plane) or len(seen) == count for plane in space):
-            raise ParamError(f"--dim {dim} --bound {bound} give only {len(seen)} distinct hyperplanes")
+    # a plane is a drawn vector over its lead c > 0, entries p / q from `values`; the
+    # len(values) ** dim >= (2 bound + 1) ** dim planes led by 1 can all be drawn, so the
+    # draw space is counted only when they fall short (and then bound < MAX_FLATS)
+    if count > (2 * bound + 1) ** dim:
+        values: set[Fraction] = set()
+        for q in range(1, bound + 1):
+            values.update(Fraction(p, q) for p in range(-bound, bound + 1))
+            if len(values) ** dim >= count:
+                break
+        else:
+            space = (tuple(v / c for v in rest) for m in range(dim, 0, -1)
+                     for c in [v for v in values if v > 0] for rest in product(values, repeat=m))
+            seen = set()
+            if not any(seen.add(plane) or len(seen) == count for plane in space):
+                raise ParamError(f"--dim {dim} --bound {bound} give only {len(seen)} distinct hyperplanes")
     rng = random.Random(seed)
-    planes: dict[Hyperplane, None] = {}
-    while len(planes) < count:
-        normal = tuple(
-            Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            for _ in range(dim)
-        )
+    rows: dict[tuple[int, ...], None] = {}
+    while len(rows) < count:
+        normal = tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim))
         if not any(normal):
             continue
         offset = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        planes[Hyperplane(normal, offset)] = None  # a repeat is drawn again
-    return Arrangement(dim, list(planes))
+        rows[_canonical((*normal, offset))] = None  # a repeat is drawn again
+    return Arrangement(dim, list(rows))
 
 
 def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:

@@ -14,12 +14,20 @@ from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field, ma
 from .poset import MAX_FLATS, Flat, Semilattice, _bits, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# digits of p and q together in one literal: an entry over its row's lead then
+# has at most twice as many, within the interpreter's default limit of 4300
+# digits for converting between int and str, so every such quotient prints
+MAX_RATIONAL_DIGITS = 2150
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "-p", or "p/q" with q > 0; anything else is a ParseError."""
+    """Parse "p", "-p", or "p/q" with q > 0; anything else, or a literal of
+    more than MAX_RATIONAL_DIGITS digits, is a ParseError."""
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
+    digits = len(text) - text.startswith("-") - ("/" in text)
+    if digits > MAX_RATIONAL_DIGITS:
+        raise ParseError(f"rational literal of {digits} digits exceeds the budget of {MAX_RATIONAL_DIGITS}")
     return Fraction(text)
 
 
@@ -31,57 +39,48 @@ def _primitive(values) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """The set {x : normal . x = offset}, stored in canonical form.
+def _canonical(row) -> tuple[int, ...]:
+    """The primitive integer multiple of a hyperplane's row (normal entries,
+    then offset) whose first nonzero normal entry is positive; the positive
+    side is then normal . x > offset."""
+    row = _primitive(row)
+    lead = next((v for v in row[:-1] if v), 0)
+    if not lead:
+        raise ValueError("hyperplane normal must be nonzero")
+    return row if lead > 0 else tuple(-v for v in row)
 
-    Entries are int or Fraction (float and bool raise ValueError) and are
-    kept as Fractions. The first nonzero normal entry is scaled to 1, which
-    also fixes the labeling of the two open sides: positive means
-    normal . x > offset.
-    """
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-    def __post_init__(self) -> None:
-        entries = [Fraction(v) if type(v) is int else v for v in (*self.normal, self.offset)]
-        if not all(isinstance(v, Fraction) for v in entries):
-            raise ValueError(f"hyperplane entries must be int or Fraction: {entries}")
-        lead = next((v for v in entries[:-1] if v), None)
-        if lead is None:
-            raise ValueError("hyperplane normal must be nonzero")
-        if lead != 1:
-            entries = [v / lead for v in entries]
-        object.__setattr__(self, "normal", tuple(entries[:-1]))
-        object.__setattr__(self, "offset", entries[-1])
-
-    def row(self) -> list[Fraction]:
-        """Equation as an augmented row: normal entries then offset."""
-        return [*self.normal, self.offset]
+def _scaled(row) -> list[str]:
+    # the row's entries over its first nonzero one, as "p/q" strings
+    lead = next(v for v in row if v)
+    return [str(Fraction(v, lead)) for v in row]
 
 
 class Arrangement:
-    """An ordered, duplicate-free list of hyperplanes in R^n. `rows` holds
-    each hyperplane's equation as a primitive integer row (normal entries
-    then offset), a positive multiple of `Hyperplane.row()`."""
+    """An ordered, duplicate-free list of hyperplanes in R^n, each given as a
+    row of int or Fraction entries, normal entries then offset (float and bool
+    raise ValueError), and kept in `rows` as its `_canonical` integer row."""
 
-    def __init__(self, ambient_dim: int, hyperplanes: list[Hyperplane]) -> None:
+    def __init__(self, ambient_dim: int, rows) -> None:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be at least 1")
         self.ambient_dim = ambient_dim
-        seen = set()
-        for i, h in enumerate(hyperplanes):
-            if len(h.normal) != ambient_dim:
-                raise ValueError(f"hyperplane {i} has {len(h.normal)} coordinates, expected {ambient_dim}")
-            if h in seen:
-                raise DuplicateHyperplane(f"hyperplane {i} repeats an earlier one: {h.normal} . x = {h.offset}")
-            seen.add(h)
-        self.hyperplanes = tuple(hyperplanes)
-        self.rows = tuple(_primitive(h.row()) for h in self.hyperplanes)
+        seen: dict[tuple[int, ...], int] = {}
+        for i, row in enumerate(rows):
+            if not all(type(v) is int or isinstance(v, Fraction) for v in row):
+                raise ValueError(f"hyperplane entries must be int or Fraction: {list(row)}")
+            row = _canonical(row)
+            if len(row) != ambient_dim + 1:
+                raise ValueError(f"hyperplane {i} has {len(row) - 1} coordinates, expected {ambient_dim}")
+            if row in seen:
+                *normal, offset = _scaled(row)
+                raise DuplicateHyperplane(
+                    f"hyperplane {i} repeats hyperplane {seen[row]}: ({', '.join(normal)}) . x = {offset}")
+            seen[row] = i
+        self.rows = tuple(seen)
 
     def __len__(self) -> int:
-        return len(self.hyperplanes)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -213,12 +212,12 @@ def arrangement_from_json(doc: dict) -> Arrangement:
     """Build an Arrangement from its JSON document form; a shape fault is a ParseError."""
     with malformed("hyperplanes"):
         n = json_field(doc["ambient_dim"], int, "ambient_dim")
-        planes = []
+        rows = []
         for item in json_field(doc["hyperplanes"], list, "hyperplanes"):
             item = json_field(item, dict, "hyperplane")
-            normal = tuple(parse_rational(v) for v in json_field(item["normal"], list, "normal"))
-            planes.append(Hyperplane(normal, parse_rational(item["offset"])))
-        return Arrangement(n, planes)
+            normal = [parse_rational(v) for v in json_field(item["normal"], list, "normal")]
+            rows.append((*normal, parse_rational(item["offset"])))
+        return Arrangement(n, rows)
 
 
 def arrangement_to_json(A: Arrangement) -> dict:
@@ -226,11 +225,5 @@ def arrangement_to_json(A: Arrangement) -> dict:
     return {
         "kind": "hyperplanes",
         "ambient_dim": A.ambient_dim,
-        "hyperplanes": [
-            {
-                "normal": [str(v) for v in h.normal],
-                "offset": str(h.offset),
-            }
-            for h in A.hyperplanes
-        ],
+        "hyperplanes": [{"normal": normal, "offset": offset} for *normal, offset in map(_scaled, A.rows)],
     }

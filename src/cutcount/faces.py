@@ -240,7 +240,7 @@ def _walk_faces(A: Arrangement, cap: int):
     Witnesses are integer vectors over a common denominator, and every
     step is sized by an exact ratio test, so no comparison is inexact.
     """
-    m = len(A.hyperplanes)
+    m = len(A.rows)
     if m > cap:
         raise CapExceeded(f"{m} hyperplanes exceeds the cap of {cap}; raise the cap to proceed")
     if A.ambient_dim > MAX_AMBIENT_DIM:

@@ -5,15 +5,17 @@ The algorithms take a second route to what cutcount computes. It
 eliminates over integers, backs Fourier-Motzkin out over one integer
 denominator instead of in Fractions, reads crossed wires off the
 permutation instead of keeping a set of crossed pairs, updates its wiring
-draw's candidates locally instead of rescanning, and sums the Möbius
-polynomial by the dual recursion instead of walking intervals. The
+draw's candidates locally instead of rescanning, keys its hyperplane draw
+by primitive integer rows instead of rows scaled to a lead of 1, and sums
+the Möbius polynomial by the dual recursion instead of walking intervals. The
 exhaustive face search decides each sign vector here by `fm_point`, and a
 flat's restriction is built from scratch here (`restrict`) and read off
 the order here (`upper_set`), so the tests can compare the two.
 
 The helpers read a semilattice's order, rank, maximal flats and
 equations, write a semilattice document, read a polynomial document and
-sign strings, and read the f-vector off the Möbius side alone.
+sign strings, key a hyperplane by its row, and read the f-vector off the
+Möbius side alone.
 """
 
 import random
@@ -23,7 +25,7 @@ from itertools import combinations
 from math import ceil, floor, gcd
 
 from cutcount.errors import CutcountError, FlatNotInLattice, ParseError, UnknownFlat, json_field
-from cutcount.exactgeom import Arrangement, Hyperplane, _reduce, build_lattice, intersect
+from cutcount.exactgeom import Arrangement, _reduce, build_lattice, intersect
 from cutcount.faces import DEFAULT_CAP, _Chart, _walk_faces
 from cutcount.poset import BiPolynomial, Flat, _bits, f_from_mobius, mobius_polynomial, validate_semilattice
 
@@ -176,6 +178,22 @@ def draw_wiring(wires: int, crossings: int, seed: int) -> list[tuple[int, int]]:
     return events
 
 
+def draw_arrangement(dim: int, count: int, bound: int, seed: int) -> list[dict]:
+    """The hyperplanes of cutcount's seeded draw as its document writes them,
+    by the rule that scales each drawn vector (normal entries p / q, then the
+    offset) so its first nonzero normal entry is 1, redrawing a zero normal
+    or a plane already drawn. There is no flat budget and no refusal."""
+    rng = random.Random(seed)
+    planes = {}
+    while len(planes) < count:
+        normal = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(dim)]
+        if any(normal):
+            lead = next(v for v in normal if v)
+            offset = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            planes[tuple(v / lead for v in (*normal, offset))] = None
+    return [{"normal": [str(v) for v in plane[:-1]], "offset": str(plane[-1])} for plane in planes]
+
+
 def interval(L, x: int, y: int) -> list[int]:
     """Ids z with x <= z <= y, ordered by (rank, id); empty if x !<= y."""
     return [z for z in L.above(x) if leq(L, z, y)]
@@ -325,10 +343,8 @@ def feasible(A, signs: tuple[int, ...]) -> bool:
     """Exact emptiness test for one total sign assignment of ints in
     {-1, 0, 1}: the flat of the zero entries by `intersect`, and the strict
     sides in its chart decided by `fm_point`."""
-    if len(signs) != len(A.hyperplanes):
-        raise DimensionMismatch(
-            f"sign vector has {len(signs)} entries for {len(A.hyperplanes)} hyperplanes"
-        )
+    if len(signs) != len(A.rows):
+        raise DimensionMismatch(f"sign vector has {len(signs)} entries for {len(A.rows)} hyperplanes")
     if not all(type(s) is int and -1 <= s <= 1 for s in signs):
         raise ValueError(f"sign vector entries must be -1, 0 or 1: {tuple(signs)!r}")
     flat = intersect(A, [j for j, s in enumerate(signs) if s == 0])
@@ -370,5 +386,13 @@ def traces(A, X):
     chart = _Chart(X, A.ambient_dim)
     rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in X.support)
     # a row without coefficients is parallel to X: its trace is empty
-    planes = dict.fromkeys(Hyperplane(row[:-1], row[-1]) for row in rows if any(row[:-1]))
+    planes = dict.fromkeys(canonical_row(row) for row in rows if any(row[:-1]))
     return Arrangement(X.dim, list(planes))
+
+
+def canonical_row(row) -> tuple[int, ...]:
+    """An integer row (normal entries, then offset) with a nonzero normal,
+    divided by the gcd of its entries, signed as its first nonzero entry:
+    two rows give one result exactly when they are one hyperplane."""
+    g = gcd(*row) if next(v for v in row if v) > 0 else -gcd(*row)
+    return tuple(v // g for v in row)

@@ -4,12 +4,11 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
 
 import time
-from fractions import Fraction as F
 
 import pytest
 
 from cutcount.cli import generate_arrangement, generate_wiring
-from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
+from cutcount.exactgeom import Arrangement, build_lattice
 from cutcount.faces import f_vector_oracle
 from cutcount.poset import (
     BiPolynomial,
@@ -69,7 +68,7 @@ def generic_family():
     parallel and no three meet, for any number of lines."""
     family = []
     for m in range(1, 7):
-        planes = [Hyperplane((F(2 * i), F(-1)), F(i * i)) for i in range(1, m + 1)]
+        planes = [(2 * i, -1, i * i) for i in range(1, m + 1)]
         A = Arrangement(2, planes)
         family.append((m, A, build_lattice(A)))
     return family
@@ -157,9 +156,9 @@ def test_criterion_7_mobius_recursion(realizable_batch, wiring_batch):
 
 def test_criterion_8_cross_family_consistency():
     rational = Arrangement(2, [
-        Hyperplane((F(1), F(0)), F(0)),
-        Hyperplane((F(0), F(1)), F(0)),
-        Hyperplane((F(1), F(1)), F(1)),
+        (1, 0, 0),
+        (0, 1, 0),
+        (1, 1, 1),
     ])
     wired = validate_wiring(WiringDiagram(3, (
         CrossingEvent(0, 2), CrossingEvent(1, 2), CrossingEvent(0, 2),

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from math import comb, factorial
 
 import pytest
@@ -16,11 +17,11 @@ from hypothesis import strategies as st
 
 from cutcount import cli
 from cutcount.errors import ParamError, ParseError
-from cutcount.exactgeom import arrangement_from_json
+from cutcount.exactgeom import MAX_RATIONAL_DIGITS, arrangement_from_json, arrangement_to_json
 from cutcount.faces import MAX_AMBIENT_DIM
 from cutcount.poset import MAX_FLATS, MAX_MOBIUS_ADDITIONS, f_from_mobius, semilattice_from_json
 from cutcount.wiring import wiring_from_json
-from reference import draw_wiring, mobius_sum
+from reference import draw_arrangement, draw_wiring, mobius_sum
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_cli.json").read_text("utf-8"))
 
@@ -265,6 +266,31 @@ class TestGen:
         with pytest.raises(ParamError) as info:
             cli.generate_arrangement(1, 4, 1, 0)
         assert str(info.value) == "--dim 1 --bound 1 give only 3 distinct hyperplanes"
+
+    def test_hyperplane_count_over_the_budget_refused_before_drawing(self):
+        # m distinct planes make the whole space and m more flats, which verify would refuse
+        args = ["gen", "--kind", "hyperplanes", "--dim", "64", "--bound", "1", "--seed", "1"]
+        for count in (MAX_FLATS, 10**9):
+            start = time.perf_counter()
+            assert run_in_process([*args, "--count", str(count)]) == (
+                2, "", f"error: {count} hyperplanes make at least {count + 1} flats, over the budget of {MAX_FLATS}\n")
+            assert time.perf_counter() - start < 1
+
+    def test_hyperplane_count_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_FLATS", 5)
+        assert len(cli.generate_arrangement(2, 4, 5, 1)) == 4
+        with pytest.raises(ParamError) as info:
+            cli.generate_arrangement(2, 5, 5, 1)
+        assert str(info.value) == "5 hyperplanes make at least 6 flats, over the budget of 5"
+
+    @pytest.mark.parametrize("dim", range(1, 5))
+    def test_generated_hyperplanes_follow_the_lead_one_rule(self, dim):
+        # bound 1 in R^1 has only the three planes x = -1, 0, 1: all of them are drawn
+        for bound in range(1, 6):
+            for count in (0, 1, 3) if (dim, bound) == (1, 1) else (0, 1, 4, 9):
+                for seed in range(1, 5):
+                    doc = arrangement_to_json(cli.generate_arrangement(dim, count, bound, seed))
+                    assert doc["hyperplanes"] == draw_arrangement(dim, count, bound, seed)
 
     @pytest.mark.parametrize("wires, crossings, seed, events", [
         (6, 7, 1, [(0, 3), (3, 2), (4, 2), (3, 2), (2, 2), (1, 2), (3, 2)]),
@@ -592,6 +618,16 @@ def test_loaders_raise_parse_error(loader, doc):
     # validation faults carry no path: the document is well formed
     ({"kind": "wiring", "wires": 0, "events": []}, "a wiring diagram needs at least one wire"),
     ({"kind": "wiring", "wires": 3, "events": [{"top": 2, "size": 2}]}, "event 0 covers positions 2..3 on 3 wires"),
+    ({"kind": "hyperplanes", "ambient_dim": 2,
+      "hyperplanes": [{"normal": ["1", "0"], "offset": "0"}, {"normal": ["2", "0"], "offset": "0"}]},
+     "hyperplane 1 repeats hyperplane 0: (1, 0) . x = 0"),
+    ({"kind": "hyperplanes", "ambient_dim": 2,
+      "hyperplanes": [{"normal": ["0", "1"], "offset": "0"}, {"normal": ["-2", "-1"], "offset": "1/2"},
+                      {"normal": ["4", "2"], "offset": "-1"}]},
+     "hyperplane 2 repeats hyperplane 1: (1, 1/2) . x = -1/4"),
+    # refused before Fraction reads it, so neither the literal nor Python's advice is echoed
+    ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1" * 5000], "offset": "0"}]},
+     f"malformed hyperplanes document: rational literal of 5000 digits exceeds the budget of {MAX_RATIONAL_DIGITS}"),
 ])
 @pytest.mark.parametrize("command", ["mobius", "fpoly", "faces", "verify"])
 def test_refusal_messages(tmp_path, command, doc, message):

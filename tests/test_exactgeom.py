@@ -7,9 +7,9 @@ import pytest
 from cutcount import exactgeom
 from cutcount.errors import CapExceeded, DuplicateHyperplane, FlatNotInLattice, ParseError
 from cutcount.exactgeom import (
+    MAX_RATIONAL_DIGITS,
     AffineFlat,
     Arrangement,
-    Hyperplane,
     arrangement_from_json,
     arrangement_to_json,
     build_lattice,
@@ -30,8 +30,7 @@ from reference import (
 
 
 def lines(*rows):
-    planes = [Hyperplane(tuple(F(v) for v in normal), F(off)) for *normal, off in rows]
-    return Arrangement(len(rows[0]) - 1, planes)
+    return Arrangement(len(rows[0]) - 1, rows)
 
 
 @pytest.fixture
@@ -61,6 +60,27 @@ class TestRationals:
         with pytest.raises(ParseError):
             parse_rational(bad)
 
+    def test_digit_budget(self):
+        # p and q together; the budget holds before Fraction reads the literal
+        p, q = "7" * 1000, "3" * (MAX_RATIONAL_DIGITS - 1000)
+        assert parse_rational(f"-{p}/{q}") == F(-int(p), int(q))
+        for over in (p + "/" + q + "3", "1" * (MAX_RATIONAL_DIGITS + 1)):
+            with pytest.raises(ParseError) as info:
+                parse_rational(over)
+            assert str(info.value) == (f"rational literal of {MAX_RATIONAL_DIGITS + 1} digits"
+                                       f" exceeds the budget of {MAX_RATIONAL_DIGITS}")
+
+    def test_entries_within_the_budget_print_over_their_lead(self):
+        # the widest quotient, a p over a lead 1/q, has 2 MAX_RATIONAL_DIGITS - 1 digits
+        big, lead = "9" * MAX_RATIONAL_DIGITS, "1/" + "9" * (MAX_RATIONAL_DIGITS - 1)
+        plane = {"normal": [lead, big], "offset": big}
+        doc = {"kind": "hyperplanes", "ambient_dim": 2, "hyperplanes": [plane]}
+        written = arrangement_to_json(arrangement_from_json(doc))["hyperplanes"][0]
+        assert written["normal"][0] == "1" and len(written["offset"]) == 2 * MAX_RATIONAL_DIGITS - 1
+        with pytest.raises(DuplicateHyperplane) as info:
+            arrangement_from_json({**doc, "hyperplanes": [plane, plane]})
+        assert str(info.value).startswith("hyperplane 1 repeats hyperplane 0: (1, 99")
+
     def test_format_round_trip(self):
         for q in (F(0), F(5), F(-5), F(3, 2), F(-7, 4)):
             assert parse_rational(str(q)) == q
@@ -87,38 +107,46 @@ class TestRref:
 
 
 class TestHyperplane:
+    # each hyperplane is kept as one row: normal entries then offset, integer
+    # and coprime, with its first nonzero normal entry positive; documents
+    # write it with that entry scaled to 1
     def test_canonical_leading_one(self):
-        h = Hyperplane((F(2), F(4)), F(6))
-        assert h.normal == (F(1), F(2)) and h.offset == F(3)
+        assert lines((2, 4, 6)).rows == ((1, 2, 3),)
+        A = lines((F(1, 2), F(-1, 3), F(5, 6)))
+        assert A.rows == ((3, -2, 5),)
+        assert arrangement_to_json(A)["hyperplanes"] == [{"normal": ["1", "-2/3"], "offset": "5/3"}]
 
     def test_negative_scaling_same_canonical_form(self):
-        assert Hyperplane((F(-2), F(-4)), F(-6)) == Hyperplane((F(1), F(2)), F(3))
+        assert lines((-2, -4, -6)).rows == lines((1, 2, 3)).rows
+        assert lines((F(-1, 2), 0, F(3, 4))).rows == lines((2, 0, -3)).rows == ((2, 0, -3),)
 
     def test_leading_zero_entries_kept(self):
-        h = Hyperplane((F(0), F(-3)), F(9))
-        assert h.normal == (F(0), F(1)) and h.offset == F(-3)
+        assert lines((0, -3, 9)).rows == ((0, 1, -3),)
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            Hyperplane((F(0), F(0)), F(1))
+        with pytest.raises(ValueError, match="^hyperplane normal must be nonzero$"):
+            lines((0, 0, 1))
 
     def test_entries_kept_exact(self):
-        h = Hyperplane((2, 4), 6)
-        assert h == Hyperplane((F(1), F(2)), F(3))
-        assert all(type(v) is F for v in (*h.normal, h.offset))
-        for normal, offset in (((0.5, 1), 1), ((True, 4), 6), ((1, 2), 1.0)):
-            with pytest.raises(ValueError):
-                Hyperplane(normal, offset)
+        assert all(type(v) is int for v in lines((F(2), F(4, 3), 6)).rows[0])
+        for row in ((0.5, 1, 1), (True, 4, 6), (1, 2, 1.0)):
+            with pytest.raises(ValueError, match="^hyperplane entries must be int or Fraction: "):
+                lines(row)
 
 
 class TestArrangement:
     def test_scaled_duplicate_rejected(self):
-        with pytest.raises(DuplicateHyperplane):
+        with pytest.raises(DuplicateHyperplane) as info:
             lines((1, 0, 0), (3, 0, 0))
+        assert str(info.value) == "hyperplane 1 repeats hyperplane 0: (1, 0) . x = 0"
+        # the plane is written with its first nonzero normal entry scaled to 1
+        with pytest.raises(DuplicateHyperplane) as info:
+            lines((0, 1, 0), (2, 4, 3), (0, 2, 1), (-4, -8, -6))
+        assert str(info.value) == "hyperplane 3 repeats hyperplane 1: (1, 2) . x = 3/2"
 
     def test_wrong_normal_length(self):
-        with pytest.raises(ValueError):
-            Arrangement(2, [Hyperplane((F(1),), F(0))])
+        with pytest.raises(ValueError, match="^hyperplane 0 has 1 coordinates, expected 2$"):
+            Arrangement(2, [(F(1), F(0))])
 
     def test_dim_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -215,7 +243,7 @@ class TestBuildLattice:
         for A in (generic3, concurrent3):
             L = build_lattice(A)
             for fl in L.flats.values():
-                for j in range(len(A.hyperplanes)):
+                for j in range(len(A.rows)):
                     cut = intersect(A, fl.support | {j})
                     unchanged = cut is not None and equations(cut) == equations(intersect(A, fl.support))
                     assert unchanged == (j in fl.support)

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from cutcount.errors import CapExceeded, FlatNotInLattice
-from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
+from cutcount.exactgeom import Arrangement, build_lattice
 from cutcount.faces import (
     DEFAULT_CAP,
     MAX_AMBIENT_DIM,
@@ -21,8 +21,7 @@ from reference import DimensionMismatch, chamber_count, chambers, feasible, sign
 
 
 def lines(*rows):
-    planes = [Hyperplane(tuple(F(v) for v in normal), F(off)) for *normal, off in rows]
-    return Arrangement(len(rows[0]) - 1, planes)
+    return Arrangement(len(rows[0]) - 1, rows)
 
 
 @pytest.fixture
@@ -80,7 +79,7 @@ class TestFeasible:
 
     def test_invariant_under_hyperplane_reordering(self, generic3):
         order = (2, 0, 1)
-        swapped = Arrangement(2, [generic3.hyperplanes[i] for i in order])
+        swapped = Arrangement(2, [generic3.rows[i] for i in order])
         for signs in product((1, 0, -1), repeat=3):
             assert feasible(generic3, signs) == feasible(swapped, tuple(signs[i] for i in order))
 
@@ -131,7 +130,7 @@ class TestEnumerate:
         # a five-line mix of generic, concurrent, and parallel behavior
         mixed = lines((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 0, 1), (1, -1, 0))
         for A in (generic3, concurrent3, mixed):
-            m = len(A.hyperplanes)
+            m = len(A.rows)
             walked = {r.signs for r in enumerate_faces(A)}
             brute = {s for s in product((1, 0, -1), repeat=m) if feasible(A, s)}
             assert walked == brute
@@ -176,8 +175,7 @@ class TestEnumerate:
         (lines(*[(1, 0, k) for k in range(DEFAULT_CAP + 1)]), "^13 hyperplanes exceeds the cap of 12;"),
         (Arrangement(MAX_AMBIENT_DIM + 1, []), "^ambient dimension 65 exceeds the face oracle's limit"),
         # over both budgets, the plane cap is checked first
-        (Arrangement(MAX_AMBIENT_DIM + 1, [Hyperplane((F(1),) + (F(0),) * MAX_AMBIENT_DIM, F(k))
-                                           for k in range(DEFAULT_CAP + 1)]),
+        (Arrangement(MAX_AMBIENT_DIM + 1, [(1,) + (0,) * MAX_AMBIENT_DIM + (k,) for k in range(DEFAULT_CAP + 1)]),
          "^13 hyperplanes exceeds the cap of 12;"),
     ])
     def test_budgets_trip_before_the_lattice_is_built(self, monkeypatch, A, message):
@@ -198,7 +196,7 @@ class TestFVectorOracle:
         assert f_vector_oracle(generic3) == [3, 9, 7]
 
     def test_point_on_a_line(self):
-        A = Arrangement(1, [Hyperplane((F(1),), F(1, 2))])
+        A = Arrangement(1, [(1, F(1, 2))])
         assert f_vector_oracle(A) == [1, 2]
 
     def test_euler_relation(self, axes, generic3, concurrent3):

@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 
-from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice
+from cutcount.exactgeom import Arrangement, build_lattice
 from cutcount.faces import DEFAULT_CAP, f_vector_oracle
 from reference import f_vector_from_semilattice
 
@@ -31,7 +31,7 @@ def both_sides(A, cap=DEFAULT_CAP):
 
 def differences(n, values):
     # x_i - x_j = c for i < j and each c in values
-    return [Hyperplane(tuple(int(k == i) - int(k == j) for k in range(n)), c)
+    return [(*(int(k == i) - int(k == j) for k in range(n)), c)
             for i, j in combinations(range(n), 2) for c in values]
 
 
@@ -48,7 +48,7 @@ def test_central_planes_and_one_affine_plane():
     # the affine plane is parallel to one central plane and meets the others
     # in lines and points off the origin
     normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 2)]
-    A = Arrangement(3, [Hyperplane(v, 0) for v in normals] + [Hyperplane((1, 1, 1), 7)])
+    A = Arrangement(3, [(*v, 0) for v in normals] + [(1, 1, 1, 7)])
     L = build_lattice(A)
     assert sum(1 for x in L.ids() if L.flats[x].dim == 0) > 1
     assert f_vector_from_semilattice(L) == f_vector_oracle(A)
@@ -80,7 +80,7 @@ def test_linial_arrangement(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_coordinate_arrangement(n):
     # a face of dimension k picks k nonzero coordinates and their signs
-    A = Arrangement(n, [Hyperplane(tuple(int(k == i) for k in range(n)), 0) for i in range(n)])
+    A = Arrangement(n, [(*(int(k == i) for k in range(n)), 0) for i in range(n)])
     assert both_sides(A) == [comb(n, k) * 2 ** k for k in range(n + 1)]
 
 
@@ -89,7 +89,6 @@ def test_generic_arrangement(d, m):
     # planes (1, t, ..., t^(d-1)) . x = t^d: t^d - (1, t, ..., t^(d-1)) . x is
     # monic of degree d in t, so any d planes meet in one point (Vandermonde)
     # and no d + 1 do; Buck (1943) counts the faces
-    A = Arrangement(d, [Hyperplane(tuple(t ** e for e in range(d)), t ** d)
-                        for t in range(1, m + 1)])
+    A = Arrangement(d, [(*(t ** e for e in range(d)), t ** d) for t in range(1, m + 1)])
     assert both_sides(A) == [comb(m, d - k) * sum(comb(m - d + k, i) for i in range(k + 1))
                              for k in range(d + 1)]

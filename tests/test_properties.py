@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cutcount.cli import generate_arrangement, generate_wiring
 from cutcount.errors import MissingMeet, NoMinimum, NotAPartialOrder, RankViolation, RepeatedCrossing
-from cutcount.exactgeom import Arrangement, Hyperplane, build_lattice, intersect
+from cutcount.exactgeom import Arrangement, build_lattice, intersect
 from cutcount.faces import (
     DEFAULT_CAP,
     _Chart,
@@ -34,6 +34,7 @@ from cutcount.wiring import (
     validate_wiring,
 )
 from reference import (
+    canonical_row,
     chamber_count,
     chambers,
     equations,
@@ -68,13 +69,7 @@ def plane_arrangements(draw, max_planes=4):
             max_size=max_planes,
         )
     )
-    planes, seen = [], set()
-    for a, b, c in triples:
-        h = Hyperplane((F(a), F(b)), F(c))
-        if h not in seen:
-            seen.add(h)
-            planes.append(h)
-    return Arrangement(2, planes)
+    return Arrangement(2, list(dict.fromkeys(map(canonical_row, triples))))
 
 
 @st.composite
@@ -88,13 +83,7 @@ def space_arrangements(draw, max_planes=5):
             max_size=max_planes,
         )
     )
-    planes, seen = [], set()
-    for *normal, offset in rows:
-        h = Hyperplane(tuple(F(v) for v in normal), F(offset))
-        if h not in seen:
-            seen.add(h)
-            planes.append(h)
-    return Arrangement(3, planes)
+    return Arrangement(3, list(dict.fromkeys(map(canonical_row, rows))))
 
 
 @st.composite
@@ -107,15 +96,9 @@ def affine_arrangements(draw, max_planes=5):
     pool = draw(st.lists(st.tuples(*[small] * n).filter(any), min_size=2, max_size=max_planes, unique=True))
     centre = draw(st.tuples(*[small] * n))
     through = draw(st.lists(st.sampled_from(pool), min_size=2, unique=True))
-    rows = [(a, sum(x * c for x, c in zip(a, centre))) for a in through]
-    rows += draw(st.lists(st.tuples(st.sampled_from(pool), small), max_size=max_planes))
-    planes, seen = [], set()
-    for normal, offset in rows[:max_planes]:
-        h = Hyperplane(tuple(F(v) for v in normal), F(offset))
-        if h not in seen:
-            seen.add(h)
-            planes.append(h)
-    return Arrangement(n, planes)
+    rows = [(*a, sum(x * c for x, c in zip(a, centre))) for a in through]
+    rows += [(*a, c) for a, c in draw(st.lists(st.tuples(st.sampled_from(pool), small), max_size=max_planes))]
+    return Arrangement(n, list(dict.fromkeys(map(canonical_row, rows[:max_planes]))))
 
 
 @st.composite
@@ -178,7 +161,7 @@ def test_chambers_match_mobius_count(A):
 def test_pruned_walk_equals_exhaustive_search(A):
     walked = {r.signs for r in enumerate_faces(A)}
     brute = {
-        s for s in product((1, 0, -1), repeat=len(A.hyperplanes)) if feasible(A, s)
+        s for s in product((1, 0, -1), repeat=len(A.rows)) if feasible(A, s)
     }
     assert walked == brute
 
@@ -188,7 +171,7 @@ def test_pruned_walk_equals_exhaustive_search(A):
 def test_space_walk_equals_exhaustive_search_and_mobius(A):
     walked = [r.signs for r in enumerate_faces(A)]
     # product over (0, 1, -1) runs in the walk's 0 < + < - order
-    brute = [s for s in product((0, 1, -1), repeat=len(A.hyperplanes)) if feasible(A, s)]
+    brute = [s for s in product((0, 1, -1), repeat=len(A.rows)) if feasible(A, s)]
     assert walked == brute
     L = build_lattice(A)
     f = f_from_mobius(mobius_polynomial(L), L.rank)
@@ -204,8 +187,8 @@ def assert_witnesses_certify(A):
     for signs, flat, (X, D) in _walk_faces(A, DEFAULT_CAP):
         assert D > 0
         w = [F(x, D) for x in X]
-        for h, s in zip(A.hyperplanes, signs):
-            value = sum(a * x for a, x in zip(h.normal, w)) - h.offset
+        for row, s in zip(A.rows, signs):
+            value = sum(a * x for a, x in zip(row, w)) - row[-1]
             assert (value > 0) - (value < 0) == s, (signs, w)
         for eq in equations(flat):
             assert sum(a * x for a, x in zip(eq[:n], w)) == eq[n], (signs, w)
@@ -224,10 +207,8 @@ def test_witnesses_certify_every_face_of_the_acceptance_batch():
 
 @given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
 # cuts that add two planes at once: within x = 0, y = 0 has chart row r, x = y has -r, x + y = 0 has r
-@example(Arrangement(2, [Hyperplane((F(1), F(0)), F(0)), Hyperplane((F(0), F(1)), F(0)),
-                         Hyperplane((F(1), F(-1)), F(0))]))
-@example(Arrangement(3, [Hyperplane(normal, F(0)) for normal in
-                         [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(1), F(1), F(0)), (F(0), F(0), F(1))]]))
+@example(Arrangement(2, [(1, 0, 0), (0, 1, 0), (1, -1, 0)]))
+@example(Arrangement(3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]))
 @settings(max_examples=150, deadline=None)
 def test_cut_charts_equal_intersect(A):
     # the walk extends each cut chart from its parent; intersect builds it from scratch
@@ -270,8 +251,8 @@ def brute_force_lattice(A):
     """(equations, dim, support) per flat in id order, and the semilattice
     document: every subset of hyperplanes intersected through rref, flats
     deduplicated by equations, the order read off support containment."""
-    n, m = A.ambient_dim, len(A.hyperplanes)
-    rows = [h.row() for h in A.hyperplanes]
+    n, m = A.ambient_dim, len(A.rows)
+    rows = [[F(v) for v in row] for row in A.rows]
     supports = {}
     for k in range(m + 1):
         for subset in combinations(range(m), k):
@@ -296,9 +277,7 @@ def brute_force_lattice(A):
 
 @given(affine_arrangements())
 # two parallel classes and three lines through the origin in R^2
-@example(Arrangement(2, [Hyperplane((F(1), F(0)), F(v)) for v in (0, 1)]
-                     + [Hyperplane((F(0), F(1)), F(v)) for v in (0, 2)]
-                     + [Hyperplane((F(1), F(1)), F(0))]))
+@example(Arrangement(2, [(1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 2), (1, 1, 0)]))
 @settings(max_examples=150, deadline=None)
 def test_lattice_equals_brute_force(A):
     L = build_lattice(A)
@@ -371,9 +350,9 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
         for r in R.ids():
             point, moves = pull_back(chart, equations(intersect(B, R.flats[r].support)))
             support = frozenset(
-                j for j, h in enumerate(A.hyperplanes)
-                if sum(a * v for a, v in zip(h.normal, point)) == h.offset
-                and not any(sum(a * v for a, v in zip(h.normal, m)) for m in moves)
+                j for j, row in enumerate(A.rows)
+                if sum(a * v for a, v in zip(row, point)) == row[-1]
+                and not any(sum(a * v for a, v in zip(row, m)) for m in moves)
             )
             # the image lies in the flat of its support; equal dimension makes them one
             assert support in by_support and by_support[support].dim == R.flats[r].dim
@@ -384,10 +363,10 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
 @given(plane_arrangements(), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_feasibility_invariant_under_reordering(A, rng):
-    m = len(A.hyperplanes)
+    m = len(A.rows)
     order = list(range(m))
     rng.shuffle(order)
-    shuffled = Arrangement(2, [A.hyperplanes[i] for i in order])
+    shuffled = Arrangement(2, [A.rows[i] for i in order])
     for signs in product((1, 0, -1), repeat=min(m, 3)):
         padded = signs + (1,) * (m - len(signs))
         assert feasible(A, padded) == feasible(shuffled, tuple(padded[i] for i in order))
@@ -396,15 +375,14 @@ def test_feasibility_invariant_under_reordering(A, rng):
 @given(plane_arrangements(max_planes=3), st.integers(1, 5), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_scaling_a_hyperplane_changes_nothing(A, num, negate):
-    if not A.hyperplanes:
+    if not A.rows:
         return
     scale = F(-num if negate else num)
     scaled = Arrangement(2, [
-        Hyperplane(tuple(scale * v for v in h.normal), scale * h.offset)
-        if i == 0 else h
-        for i, h in enumerate(A.hyperplanes)
+        tuple(scale * v for v in row) if i == 0 else row
+        for i, row in enumerate(A.rows)
     ])
-    assert scaled.hyperplanes == A.hyperplanes
+    assert scaled.rows == A.rows
     assert f_vector_oracle(scaled) == f_vector_oracle(A)
 
 

@@ -20,7 +20,7 @@ def test_public_surface():
     assert names == [
         "AffineFlat", "Arrangement", "BiPolynomial", "CapExceeded", "CrossingEvent",
         "CutcountError", "DuplicateHyperplane", "FaceRecord", "Flat",
-        "FlatNotInLattice", "Hyperplane", "MissingMeet", "NegativeCoefficient", "NoMinimum",
+        "FlatNotInLattice", "MissingMeet", "NegativeCoefficient", "NoMinimum",
         "NotAPartialOrder", "OutOfRange", "ParamError", "ParseError", "RankViolation",
         "RepeatedCrossing", "Semilattice", "UnknownFlat", "UnsupportedKind", "WiringDiagram",
         "arrangement_from_json", "arrangement_to_json", "build_lattice",
