@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field, malformed
-from .poset import MAX_FLATS, Flat, Semilattice, _bits, validate_semilattice
+from .poset import MAX_FLATS, Semilattice, _bits, validate_semilattice
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 # digits of p and q together in one literal: an entry over its row's lead then
@@ -204,8 +204,11 @@ def build_lattice(A: Arrangement) -> Semilattice:
 
     ordered = sorted(known, key=lambda mask: (len(known[mask]), tuple(_bits(mask))))
     ids = {mask: i for i, mask in enumerate(ordered)}
-    flats = [Flat(ids[mask], n - len(system), frozenset(_bits(mask))) for mask, system in known.items()]
-    return validate_semilattice(n, flats, [(ids[a], ids[b]) for a, b in pairs])
+    succ = [[] for _ in ordered]
+    for a, b in pairs:
+        succ[ids[a]].append(ids[b])
+    return validate_semilattice(n, [len(known[m]) for m in ordered], succ, range(len(ordered)),
+                                [frozenset(_bits(m)) for m in ordered])
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:

@@ -3,13 +3,15 @@ invariants derived from them.
 
 Flats are ordered by reverse inclusion, so the whole space is the unique
 minimum and points sit at the top. Every semilattice is built, closed and
-checked by :func:`validate_semilattice`. Everything downstream is computed
+checked by :func:`validate_semilattice`, from flats by position in (rank, id)
+order; only `_validate_ids` reads them by id. Everything downstream is computed
 from this order alone; every face count is read off the Möbius polynomial.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -25,8 +27,8 @@ from .errors import (
 )
 
 # the up-set rows take up to F^2 bits, and the down-set rows, which only some orders
-# need, up to as many: at this many flats `verify` peaks near 110 MB on a wiring
-# diagram, and `mobius` near 190 MB on a chain
+# need, up to as many: near this many flats `verify` peaks at about 100 MB on a
+# wiring diagram (32,765 flats), and `mobius` at about 190 MB on a chain
 MAX_FLATS = 32_768
 # (ranks present) x (strict order pairs), an upper bound on the Möbius pass's column
 # additions: 10^8 take about 1.7 s, 400 times the count of `gen --wires 250`
@@ -66,22 +68,21 @@ class Semilattice:
     closed and checked order. Instances are immutable and safe to share
     between workers.
 
-    The order is stored as bitmask rows indexed by position in `order`,
+    The order is stored as bitmask rows indexed by position in `_order`,
     which lists the flat ids in (rank, id) order: bit i stands for the flat
     at position i, so walking a row's bits visits flats in that order. That
     order is topological, so the minimum is the flat at position 0.
     `above[i]` is the principal up-set of the flat at position i, bit i of
     `maximal` is set when that up-set is the flat alone, and `strict` counts
-    the strict order pairs, for the Möbius budget. Ids become positions only
-    at the public methods.
+    the strict order pairs, for the Möbius budget. `flats` and `_pos` (each
+    id's position) are built on first read, for the public methods.
     """
 
-    def __init__(self, ambient_dim: int, flats: dict, order: tuple, pos: dict,
-                 ranks: tuple, above: list, maximal: int, strict: int) -> None:
+    def __init__(self, ambient_dim: int, order: tuple, supports, ranks: tuple,
+                 above: list, maximal: int, strict: int) -> None:
         self.ambient_dim = ambient_dim
-        self.flats: dict[int, Flat] = flats
         self._order = order
-        self._pos = pos
+        self._supports = supports
         self._ranks = ranks
         # largest rank present (may be smaller than the ambient dimension)
         self.rank = ranks[-1]
@@ -89,9 +90,18 @@ class Semilattice:
         self._maximal = maximal
         self._strict = strict
 
+    @cached_property
+    def flats(self) -> dict[int, Flat]:
+        """Each flat by id, in (rank, id) order."""
+        return {i: Flat(i, self.ambient_dim - r, s) for i, r, s in zip(self._order, self._ranks, self._supports)}
+
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        return {fid: i for i, fid in enumerate(self._order)}
+
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
-        return tuple(sorted(self.flats))
+        return tuple(sorted(self._order))
 
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
@@ -100,34 +110,22 @@ class Semilattice:
         return [self._order[i] for i in _bits(self._above[self._pos[x]])]
 
 
-def validate_semilattice(
-    ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]
-) -> Semilattice:
-    """The semilattice of `flats` ordered by `pairs` (a, b), each a <= b.
+def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> Semilattice:
+    """The semilattice of flats given by position in (rank, id) order: the
+    flat at position i has id `ids[i]`, rank `ranks[i]`, support
+    `supports[i]` (or None), and lies below its given successors, the
+    flats at the positions in `succ[i]`.
 
-    Raises ValueError on a negative ambient dimension or a repeated flat id,
-    and CapExceeded on more than MAX_FLATS flats.
-    Applies the reflexive-transitive closure of the given pairs, then
-    confirms antisymmetry, a unique minimum of full dimension, strictly
-    decreasing dimensions along the order, and a greatest lower bound for
-    every pair of flats. Raises NoMinimum, NotAPartialOrder, MissingMeet,
-    RankViolation, or UnknownFlat accordingly.
-
-    A given pair (a, b) of distinct flats rises when the rank strictly
-    increases from a to b, and falls otherwise. A falling pair is always a
-    fault, as a <= b with dim a <= dim b cannot hold in a valid order. The
-    first falling pair in input order names the error: when a walk along
-    the given pairs from b reaches a, the flats are mutually comparable
-    (NotAPartialOrder), and otherwise a < b breaks strict dimension
-    (RankViolation). When every pair rises, so does every chain: the order
-    has no cycle and dimensions strictly decrease along it, and (rank, id)
-    order is topological. Then one backward pass builds each up-set from
-    the up-sets of the flat's given successors, one union per pair. The
-    minimum checks follow: in a topological order only the first flat can lie
-    below all the others, so the order has a minimum exactly when the first
-    up-set holds every flat. The flats whose up-set is the flat alone are
-    marked maximal, and the strict order pairs counted, once, for the meet
-    check and the Möbius pass.
+    Raises NoMinimum on no flat, CapExceeded on more than MAX_FLATS,
+    RankViolation when ranks fall along the positions or pass ambient_dim
+    or a successor's does not rise, and UnknownFlat on a successor outside
+    0..F-1. As every successor rises, so does every chain: the order has no
+    cycle, dimensions strictly decrease along it, and (rank, id) order is
+    topological. So one backward pass builds each up-set from those of the
+    flat's successors, checking each one's rise on the way. Then the order
+    has a minimum exactly when the first up-set holds every flat, and it
+    must have the ambient dimension. The flats whose up-set is the flat
+    alone are marked maximal, and the strict order pairs counted, once.
 
     Meets rest on two lemmas. First, a finite poset with a minimum is a
     meet-semilattice exactly when any two elements with a common upper bound
@@ -146,81 +144,52 @@ def validate_semilattice(
     covers holding one shares no upper bound.
 
     So each non-maximal flat c, the minimum included, tests the pairs of its
-    minimal non-maximal given successors: the given successors, less c itself
-    (a pair (c, c) is legal), the maximal flats and every strict up-set of one
-    of them. Without that last step, input that gives every order pair would
-    pair each flat's whole up-set, a cube of work. A pair (a, b) passes when
-    above[a] & above[b] is 0 or a principal up-set. When the pairs outnumber
-    the flats above their members, as on a pencil's plane, each member a is
-    paired only with the members reached from a's up-set, down the given
-    pairs, with the flat T of largest down-set left out (the cone point of a
-    central arrangement, which lies above every flat). A failing pair has two
-    distinct minimal common upper bounds, so at least one of them is not T,
-    and a pair whose only common upper bound is T passes. Only this route
-    needs the down-sets, so they and T are built only when it is first taken.
+    minimal non-maximal given successors: the given successors, less the
+    maximal flats and every strict up-set of one of them. Without that last
+    step, input that gives every order pair would pair each flat's whole
+    up-set, a cube of work. A pair (a, b) passes when above[a] & above[b] is
+    0 or a principal up-set. When the pairs outnumber the flats above their
+    members, as on a pencil's plane, each member a is paired only with the
+    members reached from a's up-set, down the given pairs, with the flat T
+    of largest down-set left out (the cone point of a central arrangement,
+    which lies above every flat). A failing pair has two distinct minimal
+    common upper bounds, so at least one of them is not T, and a pair whose
+    only common upper bound is T passes. Only this route needs the
+    down-sets, so they and T are built only when it is first taken.
     MissingMeet names the first flat in (rank, id) order with a failing
     pair, its first failing pair, and two minimal common upper bounds of it.
     """
     n = ambient_dim
-    if n < 0:
-        raise ValueError("ambient dimension must be nonnegative")
-    by_id: dict[int, Flat] = {}
-    for f in flats:
-        if f.id in by_id:
-            raise ValueError(f"duplicate flat id {f.id}")
-        if not 0 <= f.dim <= n:
-            raise RankViolation(f"flat {f.id} has dimension {f.dim} outside 0..{n}")
-        by_id[f.id] = f
-    if not by_id:
+    size = len(ranks)
+    if not size:
         raise NoMinimum("a semilattice needs at least one flat")
-    if len(by_id) > MAX_FLATS:
-        raise CapExceeded(f"{len(by_id)} flats exceed the budget of {MAX_FLATS}")
+    if size > MAX_FLATS:
+        raise CapExceeded(f"{size} flats exceed the budget of {MAX_FLATS}")
+    if {len(succ), len(ids), len(supports or ranks)} != {size}:
+        raise ValueError("ranks, successors, ids and supports need one entry per position")
+    if [*ranks] != sorted(ranks) or ranks[-1] > n:
+        raise RankViolation(f"ranks must not fall along the positions nor pass the ambient dimension {n}")
 
-    # rows are indexed by position in (rank, id) order
-    order = tuple(sorted(by_id, key=lambda fid: (-by_id[fid].dim, fid)))
-    pos = {fid: i for i, fid in enumerate(order)}
-    ranks = tuple(n - by_id[fid].dim for fid in order)
-    size = len(order)
-    # each given pair is one edge between positions, kept at its lower end
-    out: list[list[int]] = [[] for _ in range(size)]
-    fall = None
-    for a, b in pairs:
-        pa, pb = pos.get(a), pos.get(b)
-        if pa is None or pb is None:
-            raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a if pa is None else b}")
-        out[pa].append(pb)
-        if ranks[pa] >= ranks[pb] and pa != pb and fall is None:
-            fall = a, b
-
-    if fall is not None:
-        # a <= b with dim a <= dim b: one walk from b tells a cycle from a rank fault
-        a, b = fall
-        seen, stack = {pos[b]}, [pos[b]]
-        while stack:
-            for c in out[stack.pop()]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        if pos[a] in seen:
-            raise NotAPartialOrder(f"flats {a} and {b} are mutually comparable")
-        raise RankViolation(f"flat {a} < flat {b} but dimensions are {by_id[a].dim} <= {by_id[b].dim}")
-
-    # every pair rises, so (rank, id) order is topological, and one backward
-    # pass closes each up-set from those of the flat's given successors
+    # each rank present is one run of positions; a successor of a flat in the
+    # run ending before `end` rises when it lies at or past `end`
     above = [0] * size
-    for y in range(size - 1, -1, -1):
-        row = 1 << y
-        for b in out[y]:
-            row |= above[b]
-        above[y] = row
+    ends = [bisect_right(ranks, r) for r in dict.fromkeys(ranks)]
+    for start, end in reversed([*zip([0, *ends], ends)]):
+        for y in range(end - 1, start - 1, -1):
+            row = 1 << y
+            for b in succ[y]:
+                if not end <= b < size:
+                    fault = RankViolation if 0 <= b < size else UnknownFlat
+                    raise fault(f"successor {b} of position {y} is not a position of larger rank")
+                row |= above[b]
+            above[y] = row
 
     full = (1 << size) - 1
     if above[0] != full:
         raise NoMinimum("no flat lies below every other flat")
-    t = order[0]
-    if by_id[t].dim != n:
+    if ranks[0]:
         raise RankViolation(
-            f"minimum flat {t} has dimension {by_id[t].dim}, expected the ambient {n}"
+            f"minimum flat {ids[0]} has dimension {n - ranks[0]}, expected the ambient {n}"
         )
 
     counts = list(map(int.bit_count, above))
@@ -234,19 +203,19 @@ def validate_semilattice(
         if not rest:
             continue
         given = 0
-        for b in out[c]:
+        for b in succ[c]:
             given |= 1 << b
         # the minimal ones among c's given successors in `rest`
-        succ = _minimal(given & rest, above)
-        members = [*_bits(succ)]
+        succ_c = _minimal(given & rest, above)
+        members = [*_bits(succ_c)]
         k = len(members)
         # every pair, unless the pairs outnumber the unions of the reach route
         direct = k * (k - 1) // 2 <= sum([counts[a] for a in members])
         if not direct and below is None:
-            # one push along each given pair closes the down-sets, in (rank, id) order
+            # one push along each given successor closes the down-sets, in (rank, id) order
             below = [1 << y for y in range(size)]
             for y in range(size):
-                for b in out[y]:
+                for b in succ[y]:
                     below[b] |= below[y]
             but_t = ~(1 << below.index(max(below, key=int.bit_count)))
         for x, a in enumerate(members):
@@ -258,16 +227,63 @@ def validate_semilattice(
                 reach = 0
                 for u in _bits(row & but_t):
                     reach |= below[u]
-                partners = _bits(reach & succ >> a + 1 << a + 1)
+                partners = _bits(reach & succ_c >> a + 1 << a + 1)
             for b in partners:
                 common = row & above[b]
                 # a principal up-set starts at its own flat, its lowest bit
                 if common and above[(common & -common).bit_length() - 1] != common:
-                    u1, u2 = [order[u] for u in _bits(_minimal(common, above))][:2]
+                    u1, u2 = [ids[u] for u in _bits(_minimal(common, above))][:2]
                     raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
-                                      f" both are minimal above {order[a]} and {order[b]}")
+                                      f" both are minimal above {ids[a]} and {ids[b]}")
 
-    return Semilattice(n, by_id, order, pos, ranks, above, maximal, sum(counts) - size)
+    return Semilattice(n, tuple(ids), supports or (None,) * size, tuple(ranks), above, maximal, sum(counts) - size)
+
+
+def _validate_ids(ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]) -> Semilattice:
+    """validate_semilattice on `flats` and `pairs` (a, b), a <= b, named by id.
+    Raises ValueError on a negative ambient_dim or a repeated id, then
+    RankViolation on a dimension outside 0..ambient_dim and UnknownFlat on
+    a pair naming no flat. The first pair of distinct flats whose rank does
+    not rise names the fault: NotAPartialOrder when a walk along the pairs
+    from b reaches a, and RankViolation otherwise."""
+    n = ambient_dim
+    if n < 0:
+        raise ValueError("ambient dimension must be nonnegative")
+    by_id: dict[int, Flat] = {}
+    for f in flats:
+        if f.id in by_id:
+            raise ValueError(f"duplicate flat id {f.id}")
+        if not 0 <= f.dim <= n:
+            raise RankViolation(f"flat {f.id} has dimension {f.dim} outside 0..{n}")
+        by_id[f.id] = f
+    order = sorted(by_id, key=lambda fid: (-by_id[fid].dim, fid))
+    pos = {fid: i for i, fid in enumerate(order)}
+    ranks = [n - by_id[fid].dim for fid in order]
+    # each given pair is one successor between positions, kept at its lower end
+    succ: list[list[int]] = [[] for _ in order]
+    fall = None
+    for a, b in pairs:
+        pa, pb = pos.get(a), pos.get(b)
+        if pa is None or pb is None:
+            raise UnknownFlat(f"leq pair ({a}, {b}) references unknown flat {a if pa is None else b}")
+        if pa != pb:
+            succ[pa].append(pb)
+            if ranks[pa] >= ranks[pb] and fall is None:
+                fall = a, b
+
+    if fall is not None:
+        # a <= b with dim a <= dim b: one walk from b tells a cycle from a rank fault
+        a, b = fall
+        seen, stack = {pos[b]}, [pos[b]]
+        while stack:
+            for c in succ[stack.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        if pos[a] in seen:
+            raise NotAPartialOrder(f"flats {a} and {b} are mutually comparable")
+        raise RankViolation(f"flat {a} < flat {b} but dimensions are {by_id[a].dim} <= {by_id[b].dim}")
+    return validate_semilattice(n, ranks, succ, order, [by_id[fid].support for fid in order])
 
 
 class BiPolynomial:
@@ -418,4 +434,4 @@ def semilattice_from_json(doc: dict) -> Semilattice:
             if len(json_field(pair, list, "leq pair")) != 2:
                 raise ValueError(f"leq pair must have 2 entries, got {pair!r}")
             pairs.append(tuple(json_field(v, int, "leq entry") for v in pair))
-        return validate_semilattice(json_field(doc["ambient_dim"], int, "ambient_dim"), flats, pairs)
+        return _validate_ids(json_field(doc["ambient_dim"], int, "ambient_dim"), flats, pairs)

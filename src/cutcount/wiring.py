@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import CapExceeded, OutOfRange, RepeatedCrossing, json_field, malformed
-from .poset import MAX_FLATS, Flat, Semilattice, validate_semilattice
+from .poset import MAX_FLATS, Semilattice, validate_semilattice
 
 
 class CrossingEvent(NamedTuple):
@@ -53,14 +53,13 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
                           f" over the budget of {MAX_FLATS}")
     perm = list(range(w.wires))
     groups = []
-    for i, e in enumerate(w.events):
-        if e.size < 2:
-            raise OutOfRange(f"event {i} has size {e.size}, need at least 2")
-        if e.top < 0 or e.top + e.size > w.wires:
-            raise OutOfRange(
-                f"event {i} covers positions {e.top}..{e.top + e.size - 1} on {w.wires} wires"
-            )
-        group = perm[e.top: e.top + e.size]
+    for i, (top, size) in enumerate(w.events):
+        if size < 2:
+            raise OutOfRange(f"event {i} has size {size}, need at least 2")
+        end = top + size
+        if top < 0 or end > w.wires:
+            raise OutOfRange(f"event {i} covers positions {top}..{end - 1} on {w.wires} wires")
+        group = perm[top:end]
         # two wires out of index order have crossed once already; suffix
         # minima find the first such pair in combinations(group, 2) order
         if group != sorted(group):
@@ -68,7 +67,7 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
             a = next(a for a, low in zip(group, after[1:]) if a > low)
             b = next(b for b in group[group.index(a):] if b < a)
             raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
-        perm[e.top: e.top + e.size] = reversed(group)
+        perm[top:end] = group[::-1]
         groups.append(tuple(group))
     object.__setattr__(w, "events", tuple(w.events))
     object.__setattr__(w, "groups", tuple(groups))
@@ -79,12 +78,14 @@ def lattice_from_wiring(w: WiringDiagram) -> Semilattice:
     """Intersection semilattice: the plane, one line per wire, one point
     per event above the lines of the wires meeting there. Its flats carry
     no supports: the sweep, not the lattice, counts a diagram's faces."""
-    n = w.wires
-    points = range(1 + n, 1 + n + len(w.groups))
-    flats = [Flat(0, 2), *(Flat(1 + i, 1) for i in range(n)), *(Flat(p, 0) for p in points)]
-    # every event meets at least 2 wires, so (0, wire) and (wire, point) give 0 <= point
-    pairs = [(0, 1 + i) for i in range(n)] + [(1 + wire, p) for p, g in zip(points, w.groups) for wire in g]
-    return validate_semilattice(2, flats, pairs)
+    n, groups = w.wires, w.groups
+    # ids are positions: 0 the plane, 1 + i wire i, 1 + n + k event k (above the plane via 2+ wires)
+    lines = [[] for _ in range(n)]
+    for p, g in enumerate(groups, 1 + n):
+        for wire in g:
+            lines[wire].append(p)
+    succ = [range(1, 1 + n), *lines, *[()] * len(groups)]
+    return validate_semilattice(2, [0] + [1] * n + [2] * len(groups), succ, range(len(succ)))
 
 
 def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:

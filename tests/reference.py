@@ -27,7 +27,7 @@ from math import ceil, floor, gcd
 from cutcount.errors import CutcountError, FlatNotInLattice, ParseError, UnknownFlat, json_field
 from cutcount.exactgeom import Arrangement, _reduce, build_lattice, intersect
 from cutcount.faces import DEFAULT_CAP, _Chart, _walk_faces
-from cutcount.poset import BiPolynomial, Flat, _bits, f_from_mobius, mobius_polynomial, validate_semilattice
+from cutcount.poset import BiPolynomial, Flat, _bits, _validate_ids, f_from_mobius, mobius_polynomial
 
 
 class DimensionMismatch(CutcountError):
@@ -292,7 +292,7 @@ def upper_set(L, x: int):
         new_flats.append(Flat(fy.id, fy.dim, support))
     # the flats above x form an up-set, so a >= x puts every b >= a in it too
     pairs = [(a, b) for a in keep for b in L.above(a)]
-    return validate_semilattice(root.dim, new_flats, pairs)
+    return _validate_ids(root.dim, new_flats, pairs)
 
 
 def semilattice_to_json(L) -> dict:
@@ -374,7 +374,7 @@ def restrict(A, X):
     if flat != X:
         raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
     if flat.dim == 0:
-        return validate_semilattice(0, [Flat(0, 0, frozenset())], [])
+        return _validate_ids(0, [Flat(0, 0, frozenset())], [])
     return build_lattice(traces(A, flat))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from cutcount.errors import (
     CapExceeded,
+    CutcountError,
     MissingMeet,
     NegativeCoefficient,
     NoMinimum,
@@ -20,6 +21,7 @@ from cutcount.poset import (
     Flat,
     f_from_mobius,
     mobius_polynomial,
+    _validate_ids,
     semilattice_from_json,
     validate_semilattice,
 )
@@ -46,7 +48,7 @@ def make(ambient, dims, pairs, supports=None):
         Flat(i, d, None if supports is None else frozenset(supports[i]))
         for i, d in enumerate(dims)
     ]
-    return validate_semilattice(ambient, flats, pairs)
+    return _validate_ids(ambient, flats, pairs)
 
 
 def boolean_without_top(r):
@@ -141,11 +143,11 @@ class TestValidate:
 
     def test_negative_ambient_dimension(self):
         with pytest.raises(ValueError, match="^ambient dimension must be nonnegative$"):
-            validate_semilattice(-1, [Flat(0, -1)], [])
+            _validate_ids(-1, [Flat(0, -1)], [])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            validate_semilattice(2, [Flat(0, 2), Flat(0, 1)], [])
+            _validate_ids(2, [Flat(0, 2), Flat(0, 1)], [])
 
     def test_flat_budget(self):
         # refused from the flat count alone, before any order row exists
@@ -233,6 +235,51 @@ class TestValidate:
             with pytest.raises(UnknownFlat) as info:
                 call()
             assert str(info.value) == "no flat with id 7"
+
+
+class TestPositionForm:
+    """validate_semilattice takes the flats by position in (rank, id) order;
+    a malformed position form is refused in one line, never indexed past."""
+
+    def test_axes_by_position_equal_axes_by_id(self, axes):
+        L = validate_semilattice(2, [0, 1, 1, 2], [[1, 2], [3], [3], []], range(4),
+                                 [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
+        assert (L._above, L._maximal, L._strict, L._ranks) == (axes._above, axes._maximal, axes._strict, axes._ranks)
+        assert L.flats == axes.flats and mobius_polynomial(L) == mobius_polynomial(axes)
+
+    # the plane, two lines and their point, with one position form fault each
+    @pytest.mark.parametrize("ranks, succ, error, message", [
+        ([0, 1, 2, 1], [[1, 3], [2], [], [2]], RankViolation,
+         "ranks must not fall along the positions nor pass the ambient dimension 2"),
+        ([0, 1, 1, 3], [[1, 2], [3], [3], []], RankViolation,
+         "ranks must not fall along the positions nor pass the ambient dimension 2"),
+        # a line under a line, the point under the plane (a closure that read
+        # above[0] before it was built would pass it quietly), the point under itself
+        ([0, 1, 1, 2], [[1, 2], [2, 3], [3], []], RankViolation,
+         "successor 2 of position 1 is not a position of larger rank"),
+        ([0, 1, 1, 2], [[1, 2], [3], [3], [0]], RankViolation,
+         "successor 0 of position 3 is not a position of larger rank"),
+        ([0, 1, 1, 2], [[1, 2], [3], [3], [3]], RankViolation,
+         "successor 3 of position 3 is not a position of larger rank"),
+        # position -1 is the point, whose rank rises above a line's
+        ([0, 1, 1, 2], [[1, 2], [3], [-1], []], UnknownFlat,
+         "successor -1 of position 2 is not a position of larger rank"),
+        ([0, 1, 1, 2], [[1, 2], [3], [4], []], UnknownFlat,
+         "successor 4 of position 2 is not a position of larger rank"),
+    ])
+    def test_refusals(self, ranks, succ, error, message):
+        with pytest.raises(CutcountError) as info:
+            validate_semilattice(2, ranks, succ, range(4))
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("succ, ids, supports", [
+        ([[1, 2], [3], [3]], range(4), None),
+        ([[1, 2], [3], [3], []], range(3), None),
+        ([[1, 2], [3], [3], []], range(4), [frozenset()] * 5),
+    ])
+    def test_one_entry_per_position(self, succ, ids, supports):
+        with pytest.raises(ValueError, match="^ranks, successors, ids and supports need one entry per position$"):
+            validate_semilattice(2, [0, 1, 1, 2], succ, ids, supports)
 
 
 class TestMobius:

@@ -22,9 +22,10 @@ from cutcount.faces import (
 from cutcount.poset import (
     BiPolynomial,
     Flat,
+    _validate_ids,
     f_from_mobius,
     mobius_polynomial,
-    validate_semilattice,
+    semilattice_from_json,
 )
 from cutcount.wiring import (
     CrossingEvent,
@@ -425,6 +426,32 @@ def test_wiring_order_is_the_closure_of_plane_wire_point(wires, crossings, seed)
     assert semilattice_to_json(lattice_from_wiring(w))["leq"] == sorted(map(list, leq))
 
 
+def assert_same_order_by_id(L):
+    """L, built by position, equals its document read back through the id
+    route; documents carry no supports, so the flats are compared without."""
+    R = semilattice_from_json(semilattice_to_json(L))
+    assert (R._order, R._above, R._maximal, R._strict, R._ranks) == (
+        L._order, L._above, L._maximal, L._strict, L._ranks)
+    assert R.flats == {x: f._replace(support=None) for x, f in L.flats.items()}
+    assert mobius_polynomial(R) == mobius_polynomial(L)
+
+
+# None draws a full diagram, every pair of wires crossed
+@given(st.integers(1, 30), st.none() | st.integers(0, 435), st.integers(0, 10**6))
+@example(30, None, 1)
+@settings(max_examples=60, deadline=None)
+def test_wiring_lattice_equals_its_document_by_id(wires, crossings, seed):
+    full = wires * (wires - 1) // 2
+    w = generate_wiring(wires, full if crossings is None else min(crossings, full), seed)
+    assert_same_order_by_id(lattice_from_wiring(w))
+
+
+@given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
+@settings(max_examples=100, deadline=None)
+def test_hyperplane_lattice_equals_its_document_by_id(A):
+    assert_same_order_by_id(build_lattice(A))
+
+
 @given(wiring_diagrams())
 @settings(max_examples=40, deadline=None)
 def test_mobius_recursion_on_wiring_lattices(w):
@@ -616,7 +643,7 @@ def check_against_brute_force(relation):
 
     meets = all(has_meet(a, b) for a in flats for b in flats)
     try:
-        L = validate_semilattice(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
+        L = _validate_ids(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
     except MissingMeet as exc:
         assert failure is None and not meets
         found = re.fullmatch(
