@@ -10,7 +10,9 @@ The walk assigns signs one hyperplane at a time and carries an exact point
 in the relative interior of each partial face, its witness. The witness
 settles its own side of the next hyperplane without any elimination, so a
 node costs at most one feasibility call. Each face lives in the chart of
-its flat, and the chart of a cut flat is extended from its parent's.
+its flat, which is where the hyperplanes of its zero entries meet; a
+hyperplane contains the flat exactly when its chart row is zero, and the
+chart of a cut flat is extended from its parent's, which keeps it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import CapExceeded, FlatNotInLattice
-from .exactgeom import AffineFlat, Arrangement, _extend, _primitive, _reduce, build_lattice, intersect
-from .poset import Semilattice
+from .exactgeom import Arrangement, _extend, _primitive, _reduce, build_lattice, intersect
 
 DEFAULT_CAP = 12
 # the oracle's reports hold a count per dimension; larger spaces are refused
@@ -61,17 +62,18 @@ class _Chart:
 
     Read off the flat's echelon system: `scale` is the lcm of the pivot
     entries, and each free column gives one primitive integer direction.
-    A hyperplane's row in these coordinates is computed the first time it
-    is asked for, and kept.
+    A hyperplane's row in these coordinates, and the chart where the
+    hyperplane cuts the flat, are computed the first time they are asked
+    for, and kept.
     """
 
-    __slots__ = ("flat", "origin", "scale", "basis", "rows")
+    __slots__ = ("system", "origin", "scale", "basis", "rows", "cuts")
 
-    def __init__(self, flat: AffineFlat, n: int) -> None:
-        self.flat = flat
-        self.scale = lcm(*(e[p] for p, e in flat.system))
+    def __init__(self, system, n: int) -> None:
+        self.system = system
+        self.scale = lcm(*(e[p] for p, e in system))
         # row r of `scaled` has pivot entry `scale`: x[p] = (r[n] - sum_c r[c] x[c]) / scale
-        scaled = {p: [v * (self.scale // e[p]) for v in e] for p, e in flat.system}
+        scaled = {p: [v * (self.scale // e[p]) for v in e] for p, e in system}
         self.origin = tuple(scaled[c][n] if c in scaled else 0 for c in range(n))
         self.basis = []
         for c in range(n):
@@ -80,6 +82,7 @@ class _Chart:
                 v[c] = self.scale
                 self.basis.append(_primitive(v))
         self.rows: dict[int, tuple[int, ...]] = {}
+        self.cuts: dict[int, _Chart | None] = {}
 
     def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
         """Row (c..., r) with normal . x > offset exactly when c . t > r,
@@ -92,6 +95,17 @@ class _Chart:
             ))
             self.rows[j] = row
         return row
+
+    def cut(self, i: int, plane: tuple[int, ...]) -> _Chart | None:
+        """Chart where hyperplane i, with integer row `plane` and not
+        containing the flat, cuts it: the system gains the plane reduced
+        against it. None when the plane is parallel to the flat."""
+        if i not in self.cuts:
+            cut = None
+            if any(self.row(i, plane)[:-1]):
+                cut = _Chart(_extend(self.system, _reduce(self.system, plane)), len(self.origin))
+            self.cuts[i] = cut
+        return self.cuts[i]
 
     def point(self, T, den: int) -> tuple[tuple[int, ...], int]:
         """Homogeneous integer coordinates of the point with coordinates
@@ -187,28 +201,6 @@ def _fm_point(rows, nvars: int):
     return T, den
 
 
-def _meet(charts, planes, chart: _Chart, i: int) -> _Chart | None:
-    """Chart where chart's flat meets the integer row planes[i], kept in `charts` under its support
-    plus i; None if i's chart row has no coefficients (parallel). Rows are primitive, so the planes
-    with row `row` or `-row` cut the flat there; the system gains plane i reduced against it."""
-    flat = chart.flat
-    key = flat.support | {i}
-    if key not in charts:
-        cut = None
-        row = chart.row(i, planes[i])
-        if any(row[:-1]):
-            same = (row, tuple(-v for v in row))
-            support = flat.support.union(
-                j for j, plane in enumerate(planes)
-                if j not in flat.support and chart.row(j, plane) in same)
-            cut = charts.get(support)
-            if cut is None:
-                system = _extend(flat.system, _reduce(flat.system, planes[i]))
-                cut = charts[support] = _Chart(AffineFlat(system, flat.dim - 1, support), len(chart.origin))
-        charts[key] = cut
-    return charts[key]
-
-
 def _step(planes, start, direction, signs) -> tuple[tuple[int, ...], int]:
     """start + direction / (k D) for the least k >= 1 keeping every nonzero sign
     on the rows `planes`: the exact ratio test along the segment (a zero has slope 0)."""
@@ -223,15 +215,17 @@ def _step(planes, start, direction, signs) -> tuple[tuple[int, ...], int]:
 
 
 def _walk_faces(A: Arrangement, cap: int):
-    """Iterator of (signs, zero_flat, witness) for every face, in 0 < + < -
-    branch order; both budgets, the plane cap and then MAX_AMBIENT_DIM, are
-    checked before anything is allocated. The witness (X, D) is the point
-    X / D of the face, X integer and D > 0.
+    """Iterator of (signs, dim, witness) for every face, in 0 < + < - branch
+    order; both budgets, the plane cap and then MAX_AMBIENT_DIM, are checked
+    before anything is allocated. A face is relatively open in its flat, so
+    that flat is where the hyperplanes of its zero entries meet, and has
+    dimension dim. The witness (X, D) is the point X / D of the face, X
+    integer and D > 0.
 
     Depth first over hyperplanes in input order. Each stacked partial face
     F, relatively open in its flat, carries a witness w: an exact point of F.
     At hyperplane H:
-    - H contains F's flat: only 0, witness w.
+    - H contains F's flat (its chart row is zero): only 0, witness w.
     - w lies on H, the flat does not: 0, + and - all hold with no call;
       the side witnesses step from w along a flat direction crossing H.
     - w lies off H: its side holds with witness w. One Fourier-Motzkin
@@ -246,28 +240,29 @@ def _walk_faces(A: Arrangement, cap: int):
     if A.ambient_dim > MAX_AMBIENT_DIM:
         raise CapExceeded(f"ambient dimension {A.ambient_dim} exceeds the face oracle's limit"
                           f" of {MAX_AMBIENT_DIM}")
-    return _faces(A, {})
+    return _faces(A)
 
 
-def _faces(A: Arrangement, charts: dict[frozenset[int], _Chart | None]):
+def _faces(A: Arrangement):
     """The walk of _walk_faces over a stack of partial faces (signs, chart,
     witness). Children are pushed in reverse, so they come off in 0, +, -
     order; at most two siblings wait per level, so faces stream. The root
-    is the whole space, which every arrangement has; `charts` is _meet's memo."""
+    is the whole space, which every arrangement has; each chart keeps the
+    charts its hyperplanes cut, so a cut is built once per parent."""
     n, planes = A.ambient_dim, A.rows
-    stack = [((), _Chart(intersect(A, ()), n), ((0,) * n, 1))]
+    stack = [((), _Chart(intersect(A, ()).system, n), ((0,) * n, 1))]
     while stack:
         signs, chart, w = stack.pop()
         i = len(signs)
         if i == len(planes):
-            yield signs, chart.flat, w
+            yield signs, len(chart.basis), w
             continue
-        cut = _meet(charts, planes, chart, i)
         plane = planes[i]
         X, D = w
-        if i in chart.flat.support:
-            children = ((0, w),)
+        if not any(chart.row(i, plane)):
+            cut, children = chart, ((0, w),)
         else:
+            cut = chart.cut(i, plane)
             value = _dot(plane, X) - plane[-1] * D
             if value == 0:
                 up = next(b for b in chart.basis if _dot(plane, b))
@@ -295,19 +290,19 @@ def _faces(A: Arrangement, charts: dict[frozenset[int], _Chart | None]):
             stack.append(((*signs, s), cut if s == 0 else chart, point))
 
 
-def enumerate_faces(
-    A: Arrangement, lattice: Semilattice | None = None, cap: int = DEFAULT_CAP
-) -> list[FaceRecord]:
-    """All faces of A with dimensions and flat ids, in deterministic order."""
+def enumerate_faces(A: Arrangement, cap: int = DEFAULT_CAP) -> list[FaceRecord]:
+    """All faces of A with dimensions and flat ids, in deterministic order:
+    a face's flat is the flat of A whose support is the face's zero set."""
     walk = _walk_faces(A, cap)
-    L = lattice if lattice is not None else build_lattice(A)
+    L = build_lattice(A)
     by_support = {L.flats[fid].support: fid for fid in L.ids()}
     records = []
-    for signs, flat, _ in walk:
-        fid = by_support.get(flat.support)
+    for signs, dim, _ in walk:
+        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
+        fid = by_support.get(zero)
         if fid is None:
-            raise FlatNotInLattice(f"the lattice has no flat with support {sorted(flat.support)}")
-        records.append(FaceRecord(signs, flat.dim, fid))
+            raise FlatNotInLattice(f"the lattice has no flat with support {sorted(zero)}")
+        records.append(FaceRecord(signs, dim, fid))
     return records
 
 
@@ -315,8 +310,8 @@ def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:
     """Face counts (f_0, ..., f_n) by direct enumeration, no Möbius involved."""
     walk = _walk_faces(A, cap)
     f = [0] * (A.ambient_dim + 1)
-    for _, flat, _ in walk:
-        f[flat.dim] += 1
+    for _, dim, _ in walk:
+        f[dim] += 1
     return f
 
 

@@ -350,7 +350,7 @@ def feasible(A, signs: tuple[int, ...]) -> bool:
     flat = intersect(A, [j for j, s in enumerate(signs) if s == 0])
     if flat is None:
         return False
-    chart = _Chart(flat, A.ambient_dim)
+    chart = _Chart(flat.system, A.ambient_dim)
     rows = [tuple(s * v for v in chart.row(j, A.rows[j])) for j, s in enumerate(signs) if s]
     return fm_point(rows, len(chart.basis)) is not None
 
@@ -383,7 +383,7 @@ def traces(A, X):
     hyperplanes containing X are dropped, the rest rewritten in X's integer
     chart coordinates, and hyperplanes meeting X in the same set collapse
     to one."""
-    chart = _Chart(X, A.ambient_dim)
+    chart = _Chart(X.system, A.ambient_dim)
     rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in X.support)
     # a row without coefficients is parallel to X: its trace is empty
     planes = dict.fromkeys(canonical_row(row) for row in rows if any(row[:-1]))

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from cutcount import faces
 from cutcount.errors import CapExceeded, FlatNotInLattice
 from cutcount.exactgeom import Arrangement, build_lattice
 from cutcount.faces import (
@@ -136,34 +137,37 @@ class TestEnumerate:
             assert walked == brute
 
     def test_same_zero_set_same_flat(self, concurrent3):
+        L = build_lattice(concurrent3)
         by_zero = {}
         for r in enumerate_faces(concurrent3):
             zero = tuple(i for i, s in enumerate(r.signs) if s == 0)
             by_zero.setdefault(zero, set()).add(r.flat_id)
+            assert L.flats[r.flat_id].support == frozenset(zero), r.signs
         assert all(len(ids) == 1 for ids in by_zero.values())
 
     def test_face_dim_equals_flat_dim(self, generic3):
         L = build_lattice(generic3)
-        for r in enumerate_faces(generic3, L):
+        for r in enumerate_faces(generic3):
             assert r.dim == L.flats[r.flat_id].dim
 
     def test_faces_per_flat_count_chambers_of_upper_set(self, generic3, concurrent3):
         for A in (generic3, concurrent3):
             L = build_lattice(A)
             tally = {fid: 0 for fid in L.ids()}
-            for r in enumerate_faces(A, L):
+            for r in enumerate_faces(A):
                 tally[r.flat_id] += 1
             for fid in L.ids():
                 assert tally[fid] == chamber_count(upper_set(L, fid))
 
-    def test_lattice_of_another_arrangement(self, axes):
+    def test_lattice_of_another_arrangement(self, monkeypatch, axes):
         # two parallel lines never meet, so the axes' origin has no flat there;
         # two crossing wires have the axes' order, but their flats carry no supports
         parallel = build_lattice(lines((1, 0, 0), (1, 0, 1)))
         crossing = lattice_from_wiring(validate_wiring(WiringDiagram(2, (CrossingEvent(0, 2),))))
         for foreign in (parallel, crossing):
+            monkeypatch.setattr(faces, "build_lattice", lambda A: foreign)
             with pytest.raises(FlatNotInLattice) as info:
-                enumerate_faces(axes, foreign)
+                enumerate_faces(axes)
             assert str(info.value) == "the lattice has no flat with support [0, 1]"
 
     def test_cap(self, axes):

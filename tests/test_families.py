@@ -10,6 +10,7 @@ import pytest
 
 from cutcount.exactgeom import Arrangement, build_lattice
 from cutcount.faces import DEFAULT_CAP, f_vector_oracle
+from cutcount.poset import mobius_polynomial
 from reference import f_vector_from_semilattice
 
 
@@ -27,6 +28,15 @@ def both_sides(A, cap=DEFAULT_CAP):
     f = f_vector_from_semilattice(build_lattice(A))
     assert f_vector_oracle(A, cap=cap) == f
     return f
+
+
+def expand(roots):
+    """Coefficients, constant term first, of the product of (t - a) over the roots."""
+    coeffs = [1]
+    for a in roots:
+        shifted = [0, *coeffs]
+        coeffs = [c - a * d for c, d in zip(shifted, [*coeffs, 0])]
+    return coeffs
 
 
 def differences(n, values):
@@ -92,3 +102,34 @@ def test_generic_arrangement(d, m):
     A = Arrangement(d, [(*(t ** e for e in range(d)), t ** d) for t in range(1, m + 1)])
     assert both_sides(A) == [comb(m, d - k) * sum(comb(m - d + k, i) for i in range(k + 1))
                              for k in range(d + 1)]
+
+
+def signed_pairs(n):
+    # x_i - x_j = 0 and x_i + x_j = 0 for i < j
+    return [(*(int(k == i) + s * int(k == j) for k in range(n)), 0)
+            for i, j in combinations(range(n), 2) for s in (-1, 1)]
+
+
+def check_coxeter(A, cap, regions, exponents):
+    # a reflection arrangement has characteristic polynomial prod (t - e) over
+    # its exponents e (Orlik-Solomon 1980); M(0, t) is that polynomial, the
+    # x^0 terms of the Möbius polynomial, as the rank is the ambient dimension
+    assert both_sides(A, cap)[-1] == regions
+    M = mobius_polynomial(build_lattice(A))
+    assert [M.coefficient(0, k) for k in range(A.ambient_dim + 1)] == expand(exponents)
+
+
+@pytest.mark.parametrize("n, cap", [(3, DEFAULT_CAP), (4, 16)])
+def test_coxeter_b(n, cap):
+    # x_i = +-x_j and x_i = 0, n^2 planes: the 2^n n! regions are the signed
+    # permutations, and the exponents are 1, 3, ..., 2n - 1
+    A = Arrangement(n, signed_pairs(n) + [(*(int(k == i) for k in range(n)), 0) for i in range(n)])
+    check_coxeter(A, cap, 2 ** n * factorial(n), [2 * k + 1 for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [4])
+def test_coxeter_d(n):
+    # x_i = +-x_j, n(n - 1) planes: 2^(n-1) n! regions, exponents 1, 3, ..., 2n - 3
+    # and n - 1; central with many flats not in general position
+    A = Arrangement(n, signed_pairs(n))
+    check_coxeter(A, DEFAULT_CAP, 2 ** (n - 1) * factorial(n), [2 * k + 1 for k in range(n - 1)] + [n - 1])

@@ -13,7 +13,6 @@ from cutcount.exactgeom import Arrangement, build_lattice, intersect
 from cutcount.faces import (
     DEFAULT_CAP,
     _Chart,
-    _faces,
     _fm_point,
     _walk_faces,
     enumerate_faces,
@@ -183,9 +182,14 @@ def test_space_walk_equals_exhaustive_search_and_mobius(A):
 
 def assert_witnesses_certify(A):
     """Each face's witness is an exact point of that face: on every
-    hyperplane it has the face's sign, and it solves the face's flat."""
+    hyperplane it has the face's sign, and it solves the face's flat, the
+    flat of its zero set, whose dimension is the face's and whose support
+    is that zero set."""
     n = A.ambient_dim
-    for signs, flat, (X, D) in _walk_faces(A, DEFAULT_CAP):
+    for signs, dim, (X, D) in _walk_faces(A, DEFAULT_CAP):
+        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
+        flat = intersect(A, zero)
+        assert flat.dim == dim and flat.support == zero, signs
         assert D > 0
         w = [F(x, D) for x in X]
         for row, s in zip(A.rows, signs):
@@ -207,20 +211,36 @@ def test_witnesses_certify_every_face_of_the_acceptance_batch():
 
 
 @given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
+@settings(max_examples=100, deadline=None)
+def test_face_flat_is_its_zero_set(A):
+    # a face is relatively open in its flat, so the flat's support is the face's zero set
+    L = build_lattice(A)
+    for r in enumerate_faces(A):
+        flat = L.flats[r.flat_id]
+        assert flat.support == frozenset(j for j, s in enumerate(r.signs) if s == 0), r.signs
+        assert flat.dim == r.dim, r.signs
+
+
+@given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
 # cuts that add two planes at once: within x = 0, y = 0 has chart row r, x = y has -r, x + y = 0 has r
 @example(Arrangement(2, [(1, 0, 0), (0, 1, 0), (1, -1, 0)]))
 @example(Arrangement(3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]))
 @settings(max_examples=150, deadline=None)
 def test_cut_charts_equal_intersect(A):
-    # the walk extends each cut chart from its parent; intersect builds it from scratch
-    charts = {}
-    for _ in _faces(A, charts):
-        pass
-    for key, chart in charts.items():
-        flat = intersect(A, key)
-        assert (chart is None) == (flat is None), sorted(key)
-        if chart is not None:
-            assert chart.flat == flat == intersect(A, chart.flat.support), sorted(key)
+    # the walk extends each cut chart from its parent; intersect builds it from scratch.
+    # Depth first from the root chart, over every plane whose chart row is nonzero
+    n, planes = A.ambient_dim, A.rows
+    stack = [(frozenset(), _Chart(intersect(A, ()).system, n))]
+    while stack:
+        cuts, chart = stack.pop()
+        for i, plane in enumerate(planes):
+            if not any(chart.row(i, plane)):
+                continue
+            cut, flat = chart.cut(i, plane), intersect(A, cuts | {i})
+            assert (cut is None) == (flat is None), sorted(cuts | {i})
+            if cut is not None:
+                assert cut.system == flat.system, sorted(cuts | {i})
+                stack.append((cuts | {i}, cut))
 
 
 @st.composite
@@ -345,7 +365,7 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
         assert f_vector_from_semilattice(R) == f_vector_from_semilattice(U)
         if X.dim == 0:
             continue  # the restriction to a point is that point, in no chart
-        chart, B = _Chart(X, A.ambient_dim), traces(A, X)
+        chart, B = _Chart(X.system, A.ambient_dim), traces(A, X)
         by_support = {L.flats[y].support: L.flats[y] for y in L.above(x)}
         images = []
         for r in R.ids():
