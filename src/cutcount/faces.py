@@ -7,12 +7,14 @@ back-substitution over one common denominator, so the resulting f-vector
 is ground truth the Möbius side of the package can be checked against.
 
 The walk assigns signs one hyperplane at a time and carries an exact point
-in the relative interior of each partial face, its witness. The witness
-settles its own side of the next hyperplane without any elimination, so a
-node costs at most one feasibility call. Each face lives in the chart of
-its flat, which is where the hyperplanes of its zero entries meet; a
-hyperplane contains the flat exactly when its chart row is zero, and the
+in the relative interior of each partial face, its witness. A hyperplane
+that cuts the face splits it by one rule, from a point of the face on the
+hyperplane (the witness, or one elimination's point) and a direction
+across it, so a node costs at most one feasibility call. Each face lives
+in the chart of its flat, where the hyperplanes of its zero entries meet;
+a hyperplane contains the flat exactly when its chart row is zero, and the
 chart of a cut flat is extended from its parent's, which keeps it.
+An elimination stage over MAX_FM_ROWS rows raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .exactgeom import Arrangement, _extend, _primitive, _reduce, build_lattice,
 DEFAULT_CAP = 12
 # the oracle's reports hold a count per dimension; larger spaces are refused
 MAX_AMBIENT_DIM = 64
+# rows one Fourier-Motzkin stage may hold; past it the pairs grow as a square per stage
+MAX_FM_ROWS = 1_000_000
 
 _CHAR = {1: "+", 0: "0", -1: "-"}
 
@@ -159,6 +163,9 @@ def _fm_point(rows, nvars: int):
     kept; the last variable is never combined, its interval is read off
     directly, and the point is then filled in from the last stage back over
     one common denominator den > 0, bounds being (num, d > 0) pairs of ints.
+    Before a stage combines its pairs, CapExceeded is raised if the rows it
+    would hold, those free of the variable plus one per pair, pass
+    MAX_FM_ROWS; the count grows about as a square per stage.
     """
     stages = []
     live = _settle(rows)
@@ -171,6 +178,10 @@ def _fm_point(rows, nvars: int):
         if v + 1 == nvars:
             break
         rest = [r for r in live if r[v] == 0]
+        held = len(rest) + len(pos) * len(neg)
+        if held > MAX_FM_ROWS:
+            raise CapExceeded(f"a Fourier-Motzkin stage would hold {held} rows, over the face oracle's"
+                              f" budget of {MAX_FM_ROWS}")
         for p in pos:
             for q in neg:
                 a, b = -q[v], p[v]
@@ -226,11 +237,11 @@ def _walk_faces(A: Arrangement, cap: int):
     F, relatively open in its flat, carries a witness w: an exact point of F.
     At hyperplane H:
     - H contains F's flat (its chart row is zero): only 0, witness w.
-    - w lies on H, the flat does not: 0, + and - all hold with no call;
-      the side witnesses step from w along a flat direction crossing H.
-    - w lies off H: its side holds with witness w. One Fourier-Motzkin
-      call on F and H decides the rest: if it finds a point p, 0 holds
-      with witness p and the other side with a point past p away from w.
+    - F misses H (H is parallel to the flat, or w is off H and Fourier-Motzkin
+      finds no point of F on H): only w's side, witness w.
+    - Otherwise p is a point of F on H (w, or else Fourier-Motzkin's) and d
+      crosses H towards + (a chart basis vector when p is w, else p - w):
+      0 gets p; each side gets w if w is on it, else a point past p along +-d.
     Witnesses are integer vectors over a common denominator, and every
     step is sized by an exact ratio test, so no comparison is inexact.
     """
@@ -264,28 +275,24 @@ def _faces(A: Arrangement):
         else:
             cut = chart.cut(i, plane)
             value = _dot(plane, X) - plane[-1] * D
-            if value == 0:
-                up = next(b for b in chart.basis if _dot(plane, b))
-                if _dot(plane, up) < 0:
-                    up = tuple(-c for c in up)
-                down = tuple(-c for c in up)
-                children = ((0, w), (1, _step(planes, w, up, signs)), (-1, _step(planes, w, down, signs)))
+            p = w if value == 0 else None
+            if p is None and cut is not None:
+                # a point of the cut strictly on side signs[j] of every hyperplane j with a nonzero sign
+                rows = [row if s > 0 else tuple(-v for v in row)
+                        for j, s in enumerate(signs) if s for row in [cut.row(j, planes[j])]]
+                t = _fm_point(rows, len(cut.basis))
+                p = cut.point(*t) if t else None
+            if p is None:
+                children = ((1 if value > 0 else -1, w),)
             else:
-                side = 1 if value > 0 else -1
-                t = None
-                if cut is not None:
-                    # a point of the cut strictly on side signs[j] of every hyperplane j with a nonzero sign
-                    rows = [row if s > 0 else tuple(-v for v in row)
-                            for j, s in enumerate(signs) if s for row in [cut.row(j, planes[j])]]
-                    t = _fm_point(rows, len(cut.basis))
-                if t is None:
-                    children = ((side, w),)
-                else:
-                    p = cut.point(*t)
-                    P, Dp = p
-                    away = [a * D - b * Dp for a, b in zip(P, X)]
-                    past = (-side, _step(planes, p, away, signs))
-                    children = ((0, p), (side, w), past) if side > 0 else ((0, p), past, (side, w))
+                # p is a point of the face on the plane; d crosses the plane, made to point to its + side
+                P, Dp = p
+                d = (next(b for b in chart.basis if _dot(plane, b)) if value == 0
+                     else [a * D - b * Dp for a, b in zip(P, X)])
+                if _dot(plane, d) < 0:
+                    d = [-c for c in d]
+                children = ((0, p), (1, w if value > 0 else _step(planes, p, d, signs)),
+                            (-1, w if value < 0 else _step(planes, p, [-c for c in d], signs)))
         for s, point in reversed(children):
             stack.append(((*signs, s), cut if s == 0 else chart, point))
 

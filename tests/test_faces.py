@@ -1,13 +1,15 @@
 """Sign-vector face enumeration against hand counts and the lattice side."""
 
+import json
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from cutcount import faces
+from cutcount import cli, faces
+from cutcount.cli import generate_arrangement
 from cutcount.errors import CapExceeded, FlatNotInLattice
-from cutcount.exactgeom import Arrangement, build_lattice
+from cutcount.exactgeom import Arrangement, arrangement_to_json, build_lattice
 from cutcount.faces import (
     DEFAULT_CAP,
     MAX_AMBIENT_DIM,
@@ -207,6 +209,29 @@ class TestFVectorOracle:
         for A in (axes, generic3, concurrent3):
             f = f_vector_oracle(A)
             assert sum((-1) ** i * c for i, c in enumerate(f)) == (-1) ** A.ambient_dim
+
+
+class TestFourierMotzkinBudget:
+    # 7 generic planes in R^5; the largest Fourier-Motzkin stage of the walk holds 96 rows
+    ARGS = (5, 7, 5, 1)
+    MESSAGE = "a Fourier-Motzkin stage would hold 96 rows, over the face oracle's budget of 95"
+
+    def test_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(faces, "MAX_FM_ROWS", 96)
+        assert f_vector_oracle(generate_arrangement(*self.ARGS)) == [21, 140, 385, 546, 399, 120]
+
+    def test_one_row_over(self, monkeypatch):
+        monkeypatch.setattr(faces, "MAX_FM_ROWS", 95)
+        with pytest.raises(CapExceeded) as info:
+            f_vector_oracle(generate_arrangement(*self.ARGS))
+        assert str(info.value) == self.MESSAGE
+
+    def test_verify_refuses_with_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(faces, "MAX_FM_ROWS", 95)
+        path = tmp_path / "r5.json"
+        path.write_text(json.dumps(arrangement_to_json(generate_arrangement(*self.ARGS))))
+        code = cli.main(["verify", str(path)])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {self.MESSAGE}\n")
 
 
 class TestChambers:

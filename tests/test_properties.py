@@ -87,11 +87,12 @@ def space_arrangements(draw, max_planes=5):
 
 
 @st.composite
-def affine_arrangements(draw, max_planes=5):
-    """Hyperplanes in R^2..R^4 with entries in -2..2. Normals come from a
-    small drawn pool, so parallel classes are common, and some planes pass
-    through one drawn centre, so several often meet in one point or line."""
-    n = draw(st.integers(2, 4))
+def affine_arrangements(draw, max_planes=5, dims=(2, 4)):
+    """Hyperplanes in R^lo..R^hi, (lo, hi) = dims, with entries in -2..2.
+    Normals come from a small drawn pool, so parallel classes are common, and
+    some planes pass through one drawn centre, so several often meet in one
+    point or line."""
+    n = draw(st.integers(*dims))
     small = st.integers(-2, 2)
     pool = draw(st.lists(st.tuples(*[small] * n).filter(any), min_size=2, max_size=max_planes, unique=True))
     centre = draw(st.tuples(*[small] * n))
@@ -202,6 +203,13 @@ def assert_witnesses_certify(A):
 @given(plane_arrangements(max_planes=5) | space_arrangements())
 @settings(max_examples=80, deadline=None)
 def test_witnesses_certify_every_face(A):
+    assert_witnesses_certify(A)
+
+
+@given(affine_arrangements(dims=(5, 6)))
+@settings(max_examples=60, deadline=None)
+def test_witnesses_certify_every_face_in_higher_dimensions(A):
+    # most of these draws put some witness on a plane that cuts its face's flat
     assert_witnesses_certify(A)
 
 
