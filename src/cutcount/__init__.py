@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedKind,
 )
 from .exactgeom import (
-    AffineFlat,
     Arrangement,
     arrangement_from_json,
     arrangement_to_json,
@@ -43,7 +42,6 @@ from .poset import (
     validate_semilattice,
 )
 from .wiring import (
-    CrossingEvent,
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,

@@ -34,7 +34,6 @@ from .poset import (
     semilattice_from_json,
 )
 from .wiring import (
-    CrossingEvent,
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,
@@ -189,7 +188,7 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
     WiringDiagram(wires, ())  # over the flat budget with no events: refused before drawing
     rng = random.Random(seed)
     perm = list(range(wires))
-    events: list[CrossingEvent] = []
+    events: list[tuple[int, int]] = []
     # two wires have crossed exactly when they are out of index order; `simple`
     # and `triple` list, in increasing order, the positions starting an uncrossed
     # pair or triple, so rng.choice sees what a full rescan would build
@@ -202,7 +201,7 @@ def generate_wiring(wires: int, crossings: int, seed: int) -> WiringDiagram:
         else:
             top, size = rng.choice(simple), 2
         perm[top: top + size] = reversed(perm[top: top + size])
-        events.append(CrossingEvent(top, size))
+        events.append((top, size))
         # only a pair or triple meeting the reversed block top ... top + size - 1 changes
         for t in range(max(top - 2, 0), top + size):
             _mark(simple, t, t < wires - 1 and perm[t] < perm[t + 1])

@@ -6,14 +6,13 @@ its integer echelon system, both eliminated without fractions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import CapExceeded, DuplicateHyperplane, ParseError, json_field, malformed
 from .poset import MAX_FLATS, Semilattice, _bits, validate_semilattice
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # digits of p and q together in one literal: an entry over its row's lead then
 # has at most twice as many, within the interpreter's default limit of 4300
 # digits for converting between int and str, so every such quotient prints
@@ -23,7 +22,7 @@ MAX_RATIONAL_DIGITS = 2150
 def parse_rational(text: str) -> Fraction:
     """Parse "p", "-p", or "p/q" with q > 0; anything else, or a literal of
     more than MAX_RATIONAL_DIGITS digits, is a ParseError."""
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ParseError(f"not a rational literal: {text!r}")
     digits = len(text) - text.startswith("-") - ("/" in text)
     if digits > MAX_RATIONAL_DIGITS:
@@ -83,21 +82,6 @@ class Arrangement:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class AffineFlat:
-    """A nonempty intersection of hyperplanes, identified by its integer
-    echelon system: (pivot column, primitive integer row) pairs in pivot
-    order, each row (normal entries then right-hand side) positive in its
-    pivot column and zero in the others. That is the primitive multiple of
-    the unique reduced echelon form, so flats are equal exactly when their
-    systems are. `support` holds every hyperplane of the arrangement that
-    contains the flat."""
-
-    system: tuple[tuple[int, tuple[int, ...]], ...]
-    dim: int
-    support: frozenset[int] = frozenset()
-
-
 def _lead(row) -> int | None:
     return next((c for c, v in enumerate(row) if v), None)
 
@@ -138,12 +122,13 @@ def _extend(system, row):
     return tuple(out)
 
 
-def intersect(A: Arrangement, support) -> AffineFlat | None:
-    """Common solution flat of the chosen hyperplanes, or None if empty.
-
-    The result's support is maximal: every hyperplane of A containing the
-    solution set is included, not just the indices asked for. Each index
-    must be an int in range(len(A)); anything else raises ValueError.
+def intersect(A: Arrangement, support) -> tuple | None:
+    """The integer echelon system of the chosen hyperplanes' common flat,
+    or None if the meet is empty; the whole space is (). The system is
+    (pivot column, primitive integer row) pairs in pivot order, each row
+    positive in its pivot column and zero in the others, so flats are equal
+    exactly when their systems are. Each index must be an int in
+    range(len(A)); anything else raises ValueError.
     """
     chosen = set(support)
     for j in chosen:
@@ -157,8 +142,7 @@ def intersect(A: Arrangement, support) -> AffineFlat | None:
             return None  # the row contradicts the system: no common solution
         if lead is not None:
             system = _extend(system, row)
-    full = frozenset(j for j, row in enumerate(A.rows) if not any(_reduce(system, row)))
-    return AffineFlat(system, A.ambient_dim - len(system), full)
+    return system
 
 
 def build_lattice(A: Arrangement) -> Semilattice:
@@ -176,7 +160,7 @@ def build_lattice(A: Arrangement) -> Semilattice:
     Raises CapExceeded as soon as saturation finds more than MAX_FLATS flats.
     """
     n = A.ambient_dim
-    known = {0: intersect(A, frozenset()).system}
+    known = {0: intersect(A, frozenset())}
     pairs = []
     frontier = [0]
     while frontier:

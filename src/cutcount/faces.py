@@ -261,7 +261,7 @@ def _faces(A: Arrangement):
     is the whole space, which every arrangement has; each chart keeps the
     charts its hyperplanes cut, so a cut is built once per parent."""
     n, planes = A.ambient_dim, A.rows
-    stack = [((), _Chart(intersect(A, ()).system, n), ((0,) * n, 1))]
+    stack = [((), _Chart(intersect(A, ()), n), ((0,) * n, 1))]
     while stack:
         signs, chart, w = stack.pop()
         i = len(signs)

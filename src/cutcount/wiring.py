@@ -10,28 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import CapExceeded, OutOfRange, RepeatedCrossing, json_field, malformed
 from .poset import MAX_FLATS, Semilattice, validate_semilattice
 
 
-class CrossingEvent(NamedTuple):
-    """k wires at positions top..top+size-1 meet at one point and reverse."""
-
-    top: int
-    size: int
-
-
 @dataclass(frozen=True)
 class WiringDiagram:
-    """n wires and an ordered event list, checked when it is built: the
-    constructor runs validate_wiring, which stores `events` as a tuple and
-    `groups`, the wires meeting at each event from top to bottom, so no
-    unchecked diagram exists."""
+    """n wires and an ordered event list, checked when it is built. An
+    event (top, size), a tuple of two ints, is size wires at positions
+    top..top+size-1 meeting at one point and reversing. The constructor
+    runs validate_wiring, which stores `events` as a tuple and `groups`,
+    the wires meeting at each event from top to bottom, so no unchecked
+    diagram exists."""
 
     wires: int
-    events: tuple[CrossingEvent, ...]
+    events: tuple[tuple[int, int], ...]
     groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -44,7 +38,8 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
     """Run the sweep, set `events` (as a tuple) and `groups` on `w`, and
     return it. Every WiringDiagram runs this when it is built.
 
-    Raises OutOfRange or RepeatedCrossing on the first invalid event, and
+    Raises ValueError on the first event that is not a tuple of two ints,
+    OutOfRange or RepeatedCrossing on the first invalid event, and
     CapExceeded when the lattice would have more than MAX_FLATS flats.
     """
     flats = 1 + w.wires + len(w.events)
@@ -53,7 +48,10 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
                           f" over the budget of {MAX_FLATS}")
     perm = list(range(w.wires))
     groups = []
-    for i, (top, size) in enumerate(w.events):
+    for i, event in enumerate(w.events):
+        if type(event) is not tuple or len(event) != 2 or type(event[0]) is not int or type(event[1]) is not int:
+            raise ValueError(f"event {i} must be a (top, size) pair of ints: {event!r}")
+        top, size = event
         if size < 2:
             raise OutOfRange(f"event {i} has size {size}, need at least 2")
         end = top + size
@@ -110,7 +108,7 @@ def wiring_from_json(doc: dict) -> WiringDiagram:
         events = []
         for e in json_field(doc["events"], list, "events"):
             e = json_field(e, dict, "event")
-            events.append(CrossingEvent(json_field(e["top"], int, "top"), json_field(e["size"], int, "size")))
+            events.append((json_field(e["top"], int, "top"), json_field(e["size"], int, "size")))
         return WiringDiagram(json_field(doc["wires"], int, "wires"), events)
 
 
@@ -119,5 +117,5 @@ def wiring_to_json(w: WiringDiagram) -> dict:
     return {
         "kind": "wiring",
         "wires": w.wires,
-        "events": [{"top": e.top, "size": e.size} for e in w.events],
+        "events": [{"top": top, "size": size} for top, size in w.events],
     }

@@ -13,13 +13,15 @@ flat's restriction is built from scratch here (`restrict`) and read off
 the order here (`upper_set`), so the tests can compare the two.
 
 The helpers read a semilattice's order, rank, maximal flats and
-equations, write a semilattice document, read a polynomial document and
-sign strings, key a hyperplane by its row, and read the f-vector off the
-Möbius side alone.
+equations, give a flat its dimension and maximal support (`AffineFlat`,
+built by `flat`), write a semilattice document, read a polynomial
+document and sign strings, key a hyperplane by its row, and read the
+f-vector off the Möbius side alone.
 """
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
@@ -333,10 +335,36 @@ def signs_from_string(text: str) -> tuple[int, ...]:
         raise ValueError(f"sign string may only contain + 0 -: {text!r}") from None
 
 
-def equations(flat) -> tuple[tuple[Fraction, ...], ...]:
-    """The canonical reduced echelon form of an AffineFlat: each row over
-    its pivot entry."""
-    return tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in flat.system)
+def equations(system) -> tuple[tuple[Fraction, ...], ...]:
+    """The canonical reduced echelon form of an integer echelon system, as
+    `intersect` returns it: each row over its pivot entry."""
+    return tuple(tuple(Fraction(v, e[p]) for v in e) for p, e in system)
+
+
+@dataclass(frozen=True)
+class AffineFlat:
+    """A nonempty intersection of hyperplanes, identified by its integer
+    echelon system: (pivot column, primitive integer row) pairs in pivot
+    order, each row (normal entries then right-hand side) positive in its
+    pivot column and zero in the others. That is the primitive multiple of
+    the unique reduced echelon form, so flats are equal exactly when their
+    systems are. `support` holds every hyperplane of the arrangement that
+    contains the flat."""
+
+    system: tuple[tuple[int, tuple[int, ...]], ...]
+    dim: int
+    support: frozenset[int] = frozenset()
+
+
+def flat(A, support) -> AffineFlat | None:
+    """The flat where the chosen hyperplanes of A meet, with its dimension
+    and maximal support (every hyperplane of A containing it), or None if
+    they do not meet."""
+    system = intersect(A, support)
+    if system is None:
+        return None
+    full = frozenset(j for j, row in enumerate(A.rows) if not any(_reduce(system, row)))
+    return AffineFlat(system, A.ambient_dim - len(system), full)
 
 
 def feasible(A, signs: tuple[int, ...]) -> bool:
@@ -347,10 +375,10 @@ def feasible(A, signs: tuple[int, ...]) -> bool:
         raise DimensionMismatch(f"sign vector has {len(signs)} entries for {len(A.rows)} hyperplanes")
     if not all(type(s) is int and -1 <= s <= 1 for s in signs):
         raise ValueError(f"sign vector entries must be -1, 0 or 1: {tuple(signs)!r}")
-    flat = intersect(A, [j for j, s in enumerate(signs) if s == 0])
-    if flat is None:
+    system = intersect(A, [j for j, s in enumerate(signs) if s == 0])
+    if system is None:
         return False
-    chart = _Chart(flat.system, A.ambient_dim)
+    chart = _Chart(system, A.ambient_dim)
     rows = [tuple(s * v for v in chart.row(j, A.rows[j])) for j, s in enumerate(signs) if s]
     return fm_point(rows, len(chart.basis)) is not None
 
@@ -370,12 +398,11 @@ def restrict(A, X):
         type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and 0 <= pair[0] <= n
         and type(pair[1]) is tuple and len(pair[1]) == n + 1 and all(type(v) is int for v in pair[1])
         for pair in X.system)
-    flat = shaped and intersect(A, (j for j, row in enumerate(A.rows) if not any(_reduce(X.system, row))))
-    if flat != X:
+    if not shaped or flat(A, (j for j, row in enumerate(A.rows) if not any(_reduce(X.system, row)))) != X:
         raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
-    if flat.dim == 0:
+    if X.dim == 0:
         return _validate_ids(0, [Flat(0, 0, frozenset())], [])
-    return build_lattice(traces(A, flat))
+    return build_lattice(traces(A, X))
 
 
 def traces(A, X):

@@ -16,7 +16,6 @@ from cutcount.poset import (
     mobius_polynomial,
 )
 from cutcount.wiring import (
-    CrossingEvent,
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,
@@ -160,9 +159,7 @@ def test_criterion_8_cross_family_consistency():
         (0, 1, 0),
         (1, 1, 1),
     ])
-    wired = validate_wiring(WiringDiagram(3, (
-        CrossingEvent(0, 2), CrossingEvent(1, 2), CrossingEvent(0, 2),
-    )))
+    wired = validate_wiring(WiringDiagram(3, ((0, 2), (1, 2), (0, 2))))
     L_rat = build_lattice(rational)
     L_wire = lattice_from_wiring(wired)
     same_terms = mobius_polynomial(L_rat).terms == mobius_polynomial(L_wire).terms

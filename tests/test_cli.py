@@ -245,12 +245,12 @@ class TestGen:
         for crossings in (0, 1, 5, 20, most):
             for seed in range(1, 5):
                 events = cli.generate_wiring(wires, crossings, seed).events
-                assert [(e.top, e.size) for e in events] == draw_wiring(wires, crossings, seed)
+                assert events == tuple(draw_wiring(wires, crossings, seed))
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_full_60_wire_diagram_follows_the_crossed_set_rule(self, seed):
         events = cli.generate_wiring(60, 1770, seed).events
-        assert [(e.top, e.size) for e in events] == draw_wiring(60, 1770, seed)
+        assert events == tuple(draw_wiring(60, 1770, seed))
 
     def test_too_few_distinct_hyperplanes(self):
         # x = -1, 0 and 1 are the only planes with entries in -1..1
@@ -303,7 +303,7 @@ class TestGen:
     ])
     def test_generated_wiring_is_pinned(self, wires, crossings, seed, events):
         w = cli.generate_wiring(wires, crossings, seed)
-        assert [(e.top, e.size) for e in w.events] == events
+        assert w.events == tuple(events)
 
 
 class TestBadInput:
@@ -628,6 +628,13 @@ def test_loaders_raise_parse_error(loader, doc):
     # refused before Fraction reads it, so neither the literal nor Python's advice is echoed
     ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1" * 5000], "offset": "0"}]},
      f"malformed hyperplanes document: rational literal of 5000 digits exceeds the budget of {MAX_RATIONAL_DIGITS}"),
+    # neither a trailing newline nor a digit outside 0-9 is read as a number
+    ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1\n"], "offset": "\u0663"}]},
+     "malformed hyperplanes document: not a rational literal: '1\\n'"),
+    ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1"], "offset": "\u0663"}]},
+     "malformed hyperplanes document: not a rational literal: '\u0663'"),
+    ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1/\u0663"], "offset": "0"}]},
+     "malformed hyperplanes document: not a rational literal: '1/\u0663'"),
 ])
 @pytest.mark.parametrize("command", ["mobius", "fpoly", "faces", "verify"])
 def test_refusal_messages(tmp_path, command, doc, message):

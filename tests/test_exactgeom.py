@@ -8,7 +8,6 @@ from cutcount import exactgeom
 from cutcount.errors import CapExceeded, DuplicateHyperplane, FlatNotInLattice, ParseError
 from cutcount.exactgeom import (
     MAX_RATIONAL_DIGITS,
-    AffineFlat,
     Arrangement,
     arrangement_from_json,
     arrangement_to_json,
@@ -18,8 +17,10 @@ from cutcount.exactgeom import (
 )
 from cutcount.poset import mobius_polynomial
 from reference import (
+    AffineFlat,
     equations,
     f_vector_from_semilattice,
+    flat,
     leq,
     minimum,
     restrict,
@@ -55,10 +56,13 @@ class TestRationals:
         assert parse_rational("3/2") == F(3, 2)
         assert parse_rational("-3/2") == F(-3, 2)
 
-    @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "+3", "", "a", " 1", "1/2/3"])
+    # Fraction would read the last five: "1\n" as 1 and the Arabic-Indic three as 3
+    @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "+3", "", "a", " 1", "1/2/3",
+                                     "1\n", "-1\n", "1/2\n", "\u0663", "1/\u0663"])
     def test_rejects_anything_else(self, bad):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_rational(bad)
+        assert str(info.value) == f"not a rational literal: {bad!r}"
 
     def test_digit_budget(self):
         # p and q together; the budget holds before Fraction reads the literal
@@ -155,28 +159,28 @@ class TestArrangement:
 
 class TestIntersect:
     def test_empty_support_gives_whole_space(self, axes):
-        top = intersect(axes, frozenset())
-        assert top.dim == 2 and top.support == frozenset() and equations(top) == ()
+        assert intersect(axes, frozenset()) == ()
+        top = flat(axes, frozenset())
+        assert top.dim == 2 and top.support == frozenset() and equations(top.system) == ()
 
     def test_axes_meet_at_origin(self, axes):
-        origin = intersect(axes, {0, 1})
+        origin = flat(axes, {0, 1})
         assert origin.dim == 0
-        assert equations(origin) == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
+        assert equations(origin.system) == ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
 
     def test_parallel_lines_give_none(self):
         par = lines((1, 0, 0), (1, 0, 1))
-        assert intersect(par, {0, 1}) is None
+        assert intersect(par, {0, 1}) is None and flat(par, {0, 1}) is None
 
     def test_support_is_maximal(self, concurrent3):
         # asking for two of the three concurrent lines finds the third
-        flat = intersect(concurrent3, {0, 1})
-        assert flat.support == frozenset([0, 1, 2])
+        assert flat(concurrent3, {0, 1}).support == frozenset([0, 1, 2])
 
     def test_flat_is_its_integer_system(self, axes):
-        line = intersect(axes, {0})
-        assert line == AffineFlat(((0, (1, 0, 0)),), 1, frozenset({0}))
-        assert equations(line) == ((F(1), F(0), F(0)),)
-        assert intersect(lines((2, 0, 3), (0, 1, 0)), {0}).system == ((0, (2, 0, 3)),)
+        assert intersect(axes, {0}) == ((0, (1, 0, 0)),)
+        assert flat(axes, {0}) == AffineFlat(((0, (1, 0, 0)),), 1, frozenset({0}))
+        assert equations(intersect(axes, {0})) == ((F(1), F(0), F(0)),)
+        assert intersect(lines((2, 0, 3), (0, 1, 0)), {0}) == ((0, (2, 0, 3)),)
 
     @pytest.mark.parametrize("index", [-1, True, 3, 1.0, "0", None])
     def test_index_outside_the_arrangement_rejected(self, generic3, index):
@@ -253,32 +257,32 @@ class TestRestrict:
     def test_axes_on_one_line_gives_chain(self, axes):
         L = build_lattice(axes)
         line = next(f for f in L.flats.values() if f.dim == 1)
-        R = restrict(axes, intersect(axes, line.support))
+        R = restrict(axes, flat(axes, line.support))
         assert sorted(f.dim for f in R.flats.values()) == [0, 1]
         assert R.ambient_dim == 1
 
     def test_at_whole_space_equals_build(self, generic3):
         L = build_lattice(generic3)
-        top = intersect(generic3, L.flats[minimum(L)].support)
+        top = flat(generic3, L.flats[minimum(L)].support)
         assert semilattice_to_json(restrict(generic3, top)) == semilattice_to_json(L)
 
     def test_generic_line_carries_two_points(self, generic3):
         L = build_lattice(generic3)
         line = next(f for f in L.flats.values() if f.dim == 1)
-        R = restrict(generic3, intersect(generic3, line.support))
+        R = restrict(generic3, flat(generic3, line.support))
         assert sorted(f.dim for f in R.flats.values()) == [0, 0, 1]
 
     def test_at_point_is_singleton(self, axes):
         L = build_lattice(axes)
         point = next(f for f in L.flats.values() if f.dim == 0)
-        R = restrict(axes, intersect(axes, point.support))
+        R = restrict(axes, flat(axes, point.support))
         assert len(R.flats) == 1 and R.ambient_dim == 0
 
     def test_matches_upper_set_as_ranked_poset(self, generic3, concurrent3):
         for A in (generic3, concurrent3):
             L = build_lattice(A)
             for fid in L.ids():
-                R = restrict(A, intersect(A, L.flats[fid].support))
+                R = restrict(A, flat(A, L.flats[fid].support))
                 U = upper_set(L, fid)
                 assert sorted(f.dim for f in R.flats.values()) == sorted(
                     f.dim for f in U.flats.values()
@@ -309,10 +313,10 @@ class TestRestrict:
             # the line x = 0 with the wrong dimension and a support that does not exist
             AffineFlat(((0, (1, 0, 0)),), 0, frozenset({7})),
         ]
-        for flat in strangers:
+        for stranger in strangers:
             with pytest.raises(FlatNotInLattice) as info:
-                restrict(axes, flat)
-            assert str(info.value) == f"not a flat of the arrangement: {flat}"
+                restrict(axes, stranger)
+            assert str(info.value) == f"not a flat of the arrangement: {stranger}"
 
 
 class TestJson:

@@ -19,7 +19,7 @@ from cutcount.faces import (
     faces_to_json,
     signs_to_string,
 )
-from cutcount.wiring import CrossingEvent, WiringDiagram, lattice_from_wiring, validate_wiring
+from cutcount.wiring import WiringDiagram, lattice_from_wiring, validate_wiring
 from reference import DimensionMismatch, chamber_count, chambers, feasible, signs_from_string, upper_set
 
 
@@ -165,7 +165,7 @@ class TestEnumerate:
         # two parallel lines never meet, so the axes' origin has no flat there;
         # two crossing wires have the axes' order, but their flats carry no supports
         parallel = build_lattice(lines((1, 0, 0), (1, 0, 1)))
-        crossing = lattice_from_wiring(validate_wiring(WiringDiagram(2, (CrossingEvent(0, 2),))))
+        crossing = lattice_from_wiring(validate_wiring(WiringDiagram(2, ((0, 2),))))
         for foreign in (parallel, crossing):
             monkeypatch.setattr(faces, "build_lattice", lambda A: foreign)
             with pytest.raises(FlatNotInLattice) as info:

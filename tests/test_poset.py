@@ -25,7 +25,7 @@ from cutcount.poset import (
     semilattice_from_json,
     validate_semilattice,
 )
-from cutcount.wiring import CrossingEvent, WiringDiagram, lattice_from_wiring, validate_wiring
+from cutcount.wiring import WiringDiagram, lattice_from_wiring, validate_wiring
 from reference import (
     chamber_count,
     constant,
@@ -378,7 +378,7 @@ class TestMobiusPolynomial:
         # wires 0 and 1 cross, then wires 0 and 2: the line of wire 3 is maximal
         # at rank 1, beside the two points at rank 2
         (lambda: lattice_from_wiring(validate_wiring(
-            WiringDiagram(4, (CrossingEvent(0, 2), CrossingEvent(1, 2))))), {4, 5, 6}),
+            WiringDiagram(4, ((0, 2), (1, 2))))), {4, 5, 6}),
         # one flat: the minimum is maximal
         (lambda: make(2, [2], []), {0}),
     ], ids=["boolean-without-top", "uncrossed-wire", "one-flat"])

@@ -27,11 +27,12 @@ from cutcount.poset import (
     semilattice_from_json,
 )
 from cutcount.wiring import (
-    CrossingEvent,
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,
     validate_wiring,
+    wiring_from_json,
+    wiring_to_json,
 )
 from reference import (
     canonical_row,
@@ -40,6 +41,7 @@ from reference import (
     equations,
     f_vector_from_semilattice,
     feasible,
+    flat,
     fm_point,
     interval,
     leq,
@@ -130,7 +132,7 @@ def wiring_diagrams(draw, max_wires=6, max_events=8):
             for j in range(i + 1, size):
                 crossed.add((min(group[i], group[j]), max(group[i], group[j])))
         perm[top: top + size] = reversed(group)
-        events.append(CrossingEvent(top, size))
+        events.append((top, size))
     return validate_wiring(WiringDiagram(wires, tuple(events)))
 
 
@@ -189,14 +191,14 @@ def assert_witnesses_certify(A):
     n = A.ambient_dim
     for signs, dim, (X, D) in _walk_faces(A, DEFAULT_CAP):
         zero = frozenset(j for j, s in enumerate(signs) if s == 0)
-        flat = intersect(A, zero)
-        assert flat.dim == dim and flat.support == zero, signs
+        face_flat = flat(A, zero)
+        assert face_flat.dim == dim and face_flat.support == zero, signs
         assert D > 0
         w = [F(x, D) for x in X]
         for row, s in zip(A.rows, signs):
             value = sum(a * x for a, x in zip(row, w)) - row[-1]
             assert (value > 0) - (value < 0) == s, (signs, w)
-        for eq in equations(flat):
+        for eq in equations(face_flat.system):
             assert sum(a * x for a, x in zip(eq[:n], w)) == eq[n], (signs, w)
 
 
@@ -224,9 +226,9 @@ def test_face_flat_is_its_zero_set(A):
     # a face is relatively open in its flat, so the flat's support is the face's zero set
     L = build_lattice(A)
     for r in enumerate_faces(A):
-        flat = L.flats[r.flat_id]
-        assert flat.support == frozenset(j for j, s in enumerate(r.signs) if s == 0), r.signs
-        assert flat.dim == r.dim, r.signs
+        X = L.flats[r.flat_id]
+        assert X.support == frozenset(j for j, s in enumerate(r.signs) if s == 0), r.signs
+        assert X.dim == r.dim, r.signs
 
 
 @given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
@@ -238,16 +240,16 @@ def test_cut_charts_equal_intersect(A):
     # the walk extends each cut chart from its parent; intersect builds it from scratch.
     # Depth first from the root chart, over every plane whose chart row is nonzero
     n, planes = A.ambient_dim, A.rows
-    stack = [(frozenset(), _Chart(intersect(A, ()).system, n))]
+    stack = [(frozenset(), _Chart(intersect(A, ()), n))]
     while stack:
         cuts, chart = stack.pop()
         for i, plane in enumerate(planes):
             if not any(chart.row(i, plane)):
                 continue
-            cut, flat = chart.cut(i, plane), intersect(A, cuts | {i})
-            assert (cut is None) == (flat is None), sorted(cuts | {i})
+            cut, system = chart.cut(i, plane), intersect(A, cuts | {i})
+            assert (cut is None) == (system is None), sorted(cuts | {i})
             if cut is not None:
-                assert cut.system == flat.system, sorted(cuts | {i})
+                assert cut.system == system, sorted(cuts | {i})
                 stack.append((cuts | {i}, cut))
 
 
@@ -318,18 +320,32 @@ def test_lattice_equals_brute_force(A):
 @given(affine_arrangements())
 @settings(max_examples=100, deadline=None)
 def test_flat_identity_is_its_system(A):
-    """intersect gives a lattice flat back its support and dimension, and an
+    """`flat` gives a lattice flat back its support and dimension, and an
     equal flat, with an equal hash, from the support in another order;
     distinct lattice flats give unequal flats."""
     L = build_lattice(A)
     flats = []
     for f in map(L.flats.get, L.ids()):
-        flat = intersect(A, f.support)
-        assert (flat.support, flat.dim) == (f.support, f.dim)
-        again = intersect(A, sorted(f.support, reverse=True))
-        assert again == flat and hash(again) == hash(flat)
-        flats.append(flat)
+        X = flat(A, f.support)
+        assert (X.support, X.dim) == (f.support, f.dim)
+        again = flat(A, sorted(f.support, reverse=True))
+        assert again == X and hash(again) == hash(X)
+        flats.append(X)
     assert all(a != b for a, b in combinations(flats, 2))
+
+
+@given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_intersect_is_the_flats_system(A, data):
+    """intersect returns the system of the flat the tests build, None when the
+    meet is empty, and () for the whole space: a falsy system, not None."""
+    assert intersect(A, ()) == ()
+    support = data.draw(st.sets(st.sampled_from(range(len(A.rows)))) if A.rows else st.just(set()))
+    system, X = intersect(A, support), flat(A, support)
+    assert (system is None) == (X is None)
+    if X is not None:
+        assert system == X.system and X.support >= support
+        assert intersect(A, X.support) == system and X.dim == A.ambient_dim - len(system)
 
 
 def pull_back(chart, equations):
@@ -366,7 +382,7 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
     image and its dimension. Every flat inside X is hit once."""
     L = build_lattice(A)
     for x in L.ids():
-        X = intersect(A, L.flats[x].support)
+        X = flat(A, L.flats[x].support)
         R, U = restrict(A, X), upper_set(L, x)
         assert sorted(f.dim for f in R.flats.values()) == sorted(f.dim for f in U.flats.values())
         assert mobius_polynomial(R) == mobius_polynomial(U)
@@ -454,6 +470,18 @@ def test_wiring_order_is_the_closure_of_plane_wire_point(wires, crossings, seed)
     assert semilattice_to_json(lattice_from_wiring(w))["leq"] == sorted(map(list, leq))
 
 
+# None draws a full diagram, every pair of wires crossed
+@given(st.integers(1, 30), st.none() | st.integers(0, 435), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_wiring_events_are_int_pairs_through_json(wires, crossings, seed):
+    full = wires * (wires - 1) // 2
+    w = generate_wiring(wires, full if crossings is None else min(crossings, full), seed)
+    back = wiring_from_json(wiring_to_json(w))
+    assert back.events == w.events
+    for e in w.events + back.events:
+        assert type(e) is tuple and len(e) == 2 and all(type(v) is int for v in e), e
+
+
 def assert_same_order_by_id(L):
     """L, built by position, equals its document read back through the id
     route; documents carry no supports, so the flats are compared without."""
@@ -507,18 +535,17 @@ def event_lists(draw):
 @settings(max_examples=400, deadline=None)
 def test_validate_wiring_matches_crossed_pair_reference(case):
     wires, events = case
-    crossings = tuple(CrossingEvent(t, s) for t, s in events)
     try:
         expected = wiring_sweep(wires, events)
     except ValueError as exc:
         try:
-            WiringDiagram(wires, crossings)
+            WiringDiagram(wires, events)
         except RepeatedCrossing as got:
             assert str(got) == str(exc)
             event("RepeatedCrossing")
             return
         raise AssertionError(f"no RepeatedCrossing: {exc}")
-    assert WiringDiagram(wires, crossings).groups == expected
+    assert WiringDiagram(wires, events).groups == expected
 
 
 @given(

@@ -18,7 +18,7 @@ def test_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == [
-        "AffineFlat", "Arrangement", "BiPolynomial", "CapExceeded", "CrossingEvent",
+        "Arrangement", "BiPolynomial", "CapExceeded",
         "CutcountError", "DuplicateHyperplane", "FaceRecord", "Flat",
         "FlatNotInLattice", "MissingMeet", "NegativeCoefficient", "NoMinimum",
         "NotAPartialOrder", "OutOfRange", "ParamError", "ParseError", "RankViolation",

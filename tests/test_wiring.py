@@ -9,7 +9,6 @@ from cutcount.poset import (
     mobius_polynomial,
 )
 from cutcount.wiring import (
-    CrossingEvent,
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,
@@ -21,9 +20,7 @@ from reference import f_vector_from_semilattice
 
 
 def diagram(wires, *events):
-    return validate_wiring(
-        WiringDiagram(wires, tuple(CrossingEvent(t, s) for t, s in events))
-    )
+    return validate_wiring(WiringDiagram(wires, events))
 
 
 def generic_diagram(wires):
@@ -40,18 +37,6 @@ def triple():
 @pytest.fixture
 def generic3():
     return diagram(3, (0, 2), (1, 2), (0, 2))
-
-
-class TestEvent:
-    def test_repr(self):
-        assert repr(CrossingEvent(0, 2)) == "CrossingEvent(top=0, size=2)"
-
-    @pytest.mark.parametrize("name", ["top", "size"])
-    def test_fields_are_read_only(self, name):
-        e = CrossingEvent(0, 2)
-        with pytest.raises(AttributeError):
-            setattr(e, name, 1)
-        assert e == CrossingEvent(0, 2) and hash(e) == hash(CrossingEvent(0, 2))
 
 
 class TestValidate:
@@ -74,6 +59,14 @@ class TestValidate:
     def test_event_too_small(self):
         with pytest.raises(OutOfRange):
             diagram(3, (0, 1))
+
+    @pytest.mark.parametrize("event", [
+        (0.5, 2), ("0", 2), (0, 2.0), (0, 2, 9), (0,), (True, 2), (0, False), [0, 2], 2])
+    def test_event_must_be_a_pair_of_ints(self, event):
+        # no coercion: True is no top 1, and a list is no pair
+        with pytest.raises(ValueError) as info:
+            diagram(3, (1, 2), event)
+        assert str(info.value) == f"event 1 must be a (top, size) pair of ints: {event!r}"
 
     def test_pair_crossing_twice(self):
         with pytest.raises(RepeatedCrossing):
@@ -129,10 +122,10 @@ class TestLattice:
     def test_requires_validation(self):
         # no unchecked diagram exists to build a lattice from
         with pytest.raises(RepeatedCrossing) as info:
-            WiringDiagram(2, (CrossingEvent(0, 2), CrossingEvent(0, 2)))
+            WiringDiagram(2, ((0, 2), (0, 2)))
         assert str(info.value) == "wires 0 and 1 cross twice (event 1)"
         with pytest.raises(TypeError):
-            WiringDiagram(2, (CrossingEvent(0, 2),), (1, 0))
+            WiringDiagram(2, ((0, 2),), (1, 0))
 
 
 class TestSweep:
@@ -151,10 +144,10 @@ class TestSweep:
     def test_requires_validation(self):
         # no unchecked diagram exists to sweep
         with pytest.raises(RepeatedCrossing) as info:
-            WiringDiagram(2, (CrossingEvent(0, 2), CrossingEvent(0, 2)))
+            WiringDiagram(2, ((0, 2), (0, 2)))
         assert str(info.value) == "wires 0 and 1 cross twice (event 1)"
         with pytest.raises(TypeError):
-            WiringDiagram(2, (CrossingEvent(0, 2),), (1, 0))
+            WiringDiagram(2, ((0, 2),), (1, 0))
 
     def test_agrees_with_lattice(self, triple, generic3):
         for w in (triple, generic3, diagram(2), generic_diagram(5)):
@@ -168,7 +161,7 @@ class TestSweep:
     def test_mirror_image_has_same_f_vector(self, generic3):
         nine = diagram(9, (0, 3), (3, 2), (5, 2), (7, 2), (2, 2))
         for w in (generic3, nine, generic_diagram(4)):
-            mirrored = diagram(w.wires, *((e.top, e.size) for e in reversed(w.events)))
+            mirrored = diagram(w.wires, *reversed(w.events))
             assert sweep_f_vector(mirrored) == sweep_f_vector(w)
 
 
