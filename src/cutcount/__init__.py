@@ -27,14 +27,12 @@ from .exactgeom import (
     parse_rational,
 )
 from .faces import (
-    FaceRecord,
     enumerate_faces,
     f_vector_oracle,
     faces_to_json,
 )
 from .poset import (
     BiPolynomial,
-    Flat,
     Semilattice,
     f_from_mobius,
     mobius_polynomial,

@@ -61,6 +61,8 @@ class Arrangement:
     raise ValueError), and kept in `rows` as its `_canonical` integer row."""
 
     def __init__(self, ambient_dim: int, rows) -> None:
+        if type(ambient_dim) is not int:
+            raise ValueError(f"ambient dimension must be an int: {ambient_dim!r}")
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be at least 1")
         self.ambient_dim = ambient_dim
@@ -191,8 +193,7 @@ def build_lattice(A: Arrangement) -> Semilattice:
     succ = [[] for _ in ordered]
     for a, b in pairs:
         succ[ids[a]].append(ids[b])
-    return validate_semilattice(n, [len(known[m]) for m in ordered], succ, range(len(ordered)),
-                                [frozenset(_bits(m)) for m in ordered])
+    return validate_semilattice(n, [len(known[m]) for m in ordered], succ, range(len(ordered)), tuple(ordered))
 
 
 def arrangement_from_json(doc: dict) -> Arrangement:

@@ -19,7 +19,6 @@ An elimination stage over MAX_FM_ROWS rows raises CapExceeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
@@ -38,15 +37,6 @@ _CHAR = {1: "+", 0: "0", -1: "-"}
 def signs_to_string(signs: tuple[int, ...]) -> str:
     """Render (+1, 0, -1) entries as the string "+0-"."""
     return "".join(_CHAR[s] for s in signs)
-
-
-@dataclass(frozen=True)
-class FaceRecord:
-    """One face: its sign vector, dimension, and zero-set flat id."""
-
-    signs: tuple[int, ...]
-    dim: int
-    flat_id: int
 
 
 def _dot(u, v):
@@ -297,19 +287,19 @@ def _faces(A: Arrangement):
             stack.append(((*signs, s), cut if s == 0 else chart, point))
 
 
-def enumerate_faces(A: Arrangement, cap: int = DEFAULT_CAP) -> list[FaceRecord]:
-    """All faces of A with dimensions and flat ids, in deterministic order:
-    a face's flat is the flat of A whose support is the face's zero set."""
+def enumerate_faces(A: Arrangement, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every face of A as a (signs, dim, flat id) triple, in deterministic
+    order: a face's flat is the flat of A whose support is the face's zero set."""
     walk = _walk_faces(A, cap)
     L = build_lattice(A)
-    by_support = {L.flats[fid].support: fid for fid in L.ids()}
+    by_support = dict(zip(L._supports, L._order))
     records = []
     for signs, dim, _ in walk:
-        zero = frozenset(j for j, s in enumerate(signs) if s == 0)
-        fid = by_support.get(zero)
+        zero = [j for j, s in enumerate(signs) if s == 0]
+        fid = by_support.get(sum(1 << j for j in zero))
         if fid is None:
-            raise FlatNotInLattice(f"the lattice has no flat with support {sorted(zero)}")
-        records.append(FaceRecord(signs, dim, fid))
+            raise FlatNotInLattice(f"the lattice has no flat with support {zero}")
+        records.append((signs, dim, fid))
     return records
 
 
@@ -322,15 +312,15 @@ def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:
     return f
 
 
-def faces_to_json(A: Arrangement, records: list[FaceRecord]) -> dict:
-    """Report document: f-vector plus one entry per face."""
+def faces_to_json(A: Arrangement, records: list[tuple[tuple[int, ...], int, int]]) -> dict:
+    """Report document: f-vector plus one entry per (signs, dim, flat id) face."""
     f = [0] * (A.ambient_dim + 1)
-    for r in records:
-        f[r.dim] += 1
+    for _, dim, _ in records:
+        f[dim] += 1
     return {
         "f_vector": f,
         "faces": [
-            {"signs": signs_to_string(r.signs), "dim": r.dim, "flat": r.flat_id}
-            for r in records
+            {"signs": signs_to_string(signs), "dim": dim, "flat": fid}
+            for signs, dim, fid in records
         ],
     }

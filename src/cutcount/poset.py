@@ -4,15 +4,16 @@ invariants derived from them.
 Flats are ordered by reverse inclusion, so the whole space is the unique
 minimum and points sit at the top. Every semilattice is built, closed and
 checked by :func:`validate_semilattice`, from flats by position in (rank, id)
-order; only `_validate_ids` reads them by id. Everything downstream is computed
-from this order alone; every face count is read off the Möbius polynomial.
+order: a flat is its position, and only `_validate_ids` reads flats by id.
+Everything downstream is computed from this order alone; every face count is
+read off the Möbius polynomial.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     CapExceeded,
@@ -33,17 +34,6 @@ MAX_FLATS = 32_768
 # (ranks present) x (strict order pairs), an upper bound on the Möbius pass's column
 # additions: 10^8 take about 1.7 s, 400 times the count of `gen --wires 250`
 MAX_MOBIUS_ADDITIONS = 10**8
-
-
-class Flat(NamedTuple):
-    """One element of an intersection semilattice: its id and dimension and,
-    on lattices built from hyperplanes, its `support`, the indices of the
-    hyperplanes containing it, by which the face oracle names faces. The
-    support is None on abstract posets and wiring lattices."""
-
-    id: int
-    dim: int
-    support: frozenset[int] | None = None
 
 
 def _bits(mask: int):
@@ -74,8 +64,9 @@ class Semilattice:
     order is topological, so the minimum is the flat at position 0.
     `above[i]` is the principal up-set of the flat at position i, bit i of
     `maximal` is set when that up-set is the flat alone, and `strict` counts
-    the strict order pairs, for the Möbius budget. `flats` and `_pos` (each
-    id's position) are built on first read, for the public methods.
+    the strict order pairs, for the Möbius budget. `_supports[i]` is the
+    bitmask of the hyperplanes containing the flat at position i, or None.
+    `_pos` (each id's position) is built on first read, for the public methods.
     """
 
     def __init__(self, ambient_dim: int, order: tuple, supports, ranks: tuple,
@@ -91,11 +82,6 @@ class Semilattice:
         self._strict = strict
 
     @cached_property
-    def flats(self) -> dict[int, Flat]:
-        """Each flat by id, in (rank, id) order."""
-        return {i: Flat(i, self.ambient_dim - r, s) for i, r, s in zip(self._order, self._ranks, self._supports)}
-
-    @cached_property
     def _pos(self) -> dict[int, int]:
         return {fid: i for i, fid in enumerate(self._order)}
 
@@ -105,16 +91,17 @@ class Semilattice:
 
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
-        if x not in self._pos:
-            raise UnknownFlat(f"no flat with id {x}")
+        if type(x) is not int or x not in self._pos:
+            raise UnknownFlat(f"no flat with id {x!r}")
         return [self._order[i] for i in _bits(self._above[self._pos[x]])]
 
 
 def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> Semilattice:
     """The semilattice of flats given by position in (rank, id) order: the
     flat at position i has id `ids[i]`, rank `ranks[i]`, support
-    `supports[i]` (or None), and lies below its given successors, the
-    flats at the positions in `succ[i]`.
+    `supports[i]` (the bitmask of the hyperplanes containing it, or None
+    when `supports` is), and lies below its given successors, the flats at
+    the positions in `succ[i]`.
 
     Raises NoMinimum on no flat, CapExceeded on more than MAX_FLATS,
     RankViolation when ranks fall along the positions or pass ambient_dim
@@ -239,8 +226,8 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     return Semilattice(n, tuple(ids), supports or (None,) * size, tuple(ranks), above, maximal, sum(counts) - size)
 
 
-def _validate_ids(ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple[int, int]]) -> Semilattice:
-    """validate_semilattice on `flats` and `pairs` (a, b), a <= b, named by id.
+def _validate_ids(ambient_dim: int, flats: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]]) -> Semilattice:
+    """validate_semilattice on `flats`, (id, dim) pairs, and `pairs` (a, b), a <= b, by id.
     Raises ValueError on a negative ambient_dim or a repeated id, then
     RankViolation on a dimension outside 0..ambient_dim and UnknownFlat on
     a pair naming no flat. The first pair of distinct flats whose rank does
@@ -249,16 +236,16 @@ def _validate_ids(ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple
     n = ambient_dim
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    by_id: dict[int, Flat] = {}
-    for f in flats:
-        if f.id in by_id:
-            raise ValueError(f"duplicate flat id {f.id}")
-        if not 0 <= f.dim <= n:
-            raise RankViolation(f"flat {f.id} has dimension {f.dim} outside 0..{n}")
-        by_id[f.id] = f
-    order = sorted(by_id, key=lambda fid: (-by_id[fid].dim, fid))
+    dims: dict[int, int] = {}
+    for fid, dim in flats:
+        if fid in dims:
+            raise ValueError(f"duplicate flat id {fid}")
+        if not 0 <= dim <= n:
+            raise RankViolation(f"flat {fid} has dimension {dim} outside 0..{n}")
+        dims[fid] = dim
+    order = sorted(dims, key=lambda fid: (-dims[fid], fid))
     pos = {fid: i for i, fid in enumerate(order)}
-    ranks = [n - by_id[fid].dim for fid in order]
+    ranks = [n - dims[fid] for fid in order]
     # each given pair is one successor between positions, kept at its lower end
     succ: list[list[int]] = [[] for _ in order]
     fall = None
@@ -282,8 +269,8 @@ def _validate_ids(ambient_dim: int, flats: Iterable[Flat], pairs: Iterable[tuple
                     stack.append(c)
         if pos[a] in seen:
             raise NotAPartialOrder(f"flats {a} and {b} are mutually comparable")
-        raise RankViolation(f"flat {a} < flat {b} but dimensions are {by_id[a].dim} <= {by_id[b].dim}")
-    return validate_semilattice(n, ranks, succ, order, [by_id[fid].support for fid in order])
+        raise RankViolation(f"flat {a} < flat {b} but dimensions are {dims[a]} <= {dims[b]}")
+    return validate_semilattice(n, ranks, succ, order)
 
 
 class BiPolynomial:
@@ -428,7 +415,7 @@ def semilattice_from_json(doc: dict) -> Semilattice:
         flats = []
         for item in json_field(doc["flats"], list, "flats"):
             item = json_field(item, dict, "flat")
-            flats.append(Flat(json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim")))
+            flats.append((json_field(item["id"], int, "flat id"), json_field(item["dim"], int, "flat dim")))
         pairs = []
         for pair in json_field(doc["leq"], list, "leq"):
             if len(json_field(pair, list, "leq pair")) != 2:

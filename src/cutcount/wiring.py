@@ -29,6 +29,8 @@ class WiringDiagram:
     groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.wires) is not int:
+            raise OutOfRange(f"the wire count must be an int: {self.wires!r}")
         if self.wires < 1:
             raise OutOfRange("a wiring diagram needs at least one wire")
         validate_wiring(self)

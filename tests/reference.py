@@ -13,10 +13,11 @@ flat's restriction is built from scratch here (`restrict`) and read off
 the order here (`upper_set`), so the tests can compare the two.
 
 The helpers read a semilattice's order, rank, maximal flats and
-equations, give a flat its dimension and maximal support (`AffineFlat`,
-built by `flat`), write a semilattice document, read a polynomial
-document and sign strings, key a hyperplane by its row, and read the
-f-vector off the Möbius side alone.
+equations, read its flats by id (`Flat`, listed by `flats_by_id`) and give an
+order supports (`with_supports`), give a flat its dimension and maximal
+support (`AffineFlat`, built by `flat`), write a semilattice document,
+read a polynomial document and sign strings, key a hyperplane by its row,
+and read the f-vector off the Möbius side alone.
 """
 
 import random
@@ -25,11 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, gcd
+from typing import NamedTuple
 
 from cutcount.errors import CutcountError, FlatNotInLattice, ParseError, UnknownFlat, json_field
 from cutcount.exactgeom import Arrangement, _reduce, build_lattice, intersect
 from cutcount.faces import DEFAULT_CAP, _Chart, _walk_faces
-from cutcount.poset import BiPolynomial, Flat, _bits, _validate_ids, f_from_mobius, mobius_polynomial
+from cutcount.poset import BiPolynomial, _bits, _validate_ids, f_from_mobius, mobius_polynomial, validate_semilattice
 
 
 class DimensionMismatch(CutcountError):
@@ -274,6 +276,29 @@ def f_vector_from_semilattice(L) -> list[int]:
     return [f.coefficient(n - i) for i in range(n + 1)]
 
 
+class Flat(NamedTuple):
+    """One flat of a semilattice read by id: its id, its dimension and, on
+    lattices built from hyperplanes, its support, the set of indices of the
+    hyperplanes containing it (None on other orders)."""
+
+    id: int
+    dim: int
+    support: frozenset[int] | None = None
+
+
+def flats_by_id(L) -> dict[int, Flat]:
+    """Each flat of L by id, in (rank, id) order."""
+    return {x: Flat(x, L.ambient_dim - r, None if s is None else frozenset(_bits(s)))
+            for x, r, s in zip(L._order, L._ranks, L._supports)}
+
+
+def with_supports(L, supports: dict[int, int]):
+    """L built again by position, flat x with the support bitmask
+    `supports[x]`: the id route gives a semilattice no supports."""
+    succ = [[j for j in _bits(row) if j != i] for i, row in enumerate(L._above)]
+    return validate_semilattice(L.ambient_dim, L._ranks, succ, L._order, tuple(supports[x] for x in L._order))
+
+
 def upper_set(L, x: int):
     """The sub-semilattice of flats above x, re-rooted at x.
 
@@ -284,22 +309,18 @@ def upper_set(L, x: int):
     keep = L.above(x)
     if x == minimum(L):
         return L
-    root = L.flats[x]
-    new_flats = []
-    for y in keep:
-        fy = L.flats[y]
-        support = fy.support
-        if support is not None and root.support is not None:
-            support = frozenset(support - root.support)
-        new_flats.append(Flat(fy.id, fy.dim, support))
+    n, root = L.ambient_dim, L._supports[_position(L, x)]
     # the flats above x form an up-set, so a >= x puts every b >= a in it too
     pairs = [(a, b) for a in keep for b in L.above(a)]
-    return _validate_ids(root.dim, new_flats, pairs)
+    U = _validate_ids(n - rank_of(L, x), [(y, n - rank_of(L, y)) for y in keep], pairs)
+    if root is None:
+        return U
+    return with_supports(U, {y: L._supports[_position(L, y)] & ~root for y in keep})
 
 
 def semilattice_to_json(L) -> dict:
     """JSON document form; `leq` lists the full strict order, sorted."""
-    flats = [{"id": fid, "dim": L.flats[fid].dim} for fid in L.ids()]
+    flats = [{"id": fid, "dim": L.ambient_dim - rank_of(L, fid)} for fid in L.ids()]
     # every strict pair (a, b), read off the principal up-set rows
     order = L._order
     pairs = sorted([order[x], order[j]] for x, row in enumerate(L._above) for j in _bits(row) if j != x)
@@ -401,7 +422,7 @@ def restrict(A, X):
     if not shaped or flat(A, (j for j, row in enumerate(A.rows) if not any(_reduce(X.system, row)))) != X:
         raise FlatNotInLattice(f"not a flat of the arrangement: {X}")
     if X.dim == 0:
-        return _validate_ids(0, [Flat(0, 0, frozenset())], [])
+        return validate_semilattice(0, [0], [[]], [0], [0])
     return build_lattice(traces(A, X))
 
 

@@ -21,6 +21,7 @@ from reference import (
     equations,
     f_vector_from_semilattice,
     flat,
+    flats_by_id,
     leq,
     minimum,
     restrict,
@@ -156,6 +157,13 @@ class TestArrangement:
         with pytest.raises(ValueError):
             Arrangement(0, [])
 
+    # no coercion: True is no dimension 1, nor 2.0 or "2" a dimension 2
+    @pytest.mark.parametrize("dim, rows", [(True, [(1, 0)]), (2.0, [(1, 0, 0)]), ("2", [(1, 0, 0)])])
+    def test_dim_must_be_an_int(self, dim, rows):
+        with pytest.raises(ValueError) as info:
+            Arrangement(dim, rows)
+        assert str(info.value) == f"ambient dimension must be an int: {dim!r}"
+
 
 class TestIntersect:
     def test_empty_support_gives_whole_space(self, axes):
@@ -193,41 +201,42 @@ class TestIntersect:
 class TestBuildLattice:
     def test_generic_three_lines(self, generic3):
         L = build_lattice(generic3)
-        dims = sorted(f.dim for f in L.flats.values())
+        dims = sorted(f.dim for f in flats_by_id(L).values())
         assert dims == [0, 0, 0, 1, 1, 1, 2]
 
     def test_concurrent_three_lines(self, concurrent3):
         L = build_lattice(concurrent3)
-        assert sorted(f.dim for f in L.flats.values()) == [0, 1, 1, 1, 2]
+        assert sorted(f.dim for f in flats_by_id(L).values()) == [0, 1, 1, 1, 2]
 
     def test_parallel_pair_has_rank_one(self):
         L = build_lattice(lines((1, 0, 0), (1, 0, 1)))
-        assert sorted(f.dim for f in L.flats.values()) == [1, 1, 2]
+        assert sorted(f.dim for f in flats_by_id(L).values()) == [1, 1, 2]
         assert L.rank == 1
 
     def test_no_duplicate_equation_systems(self, generic3):
         L = build_lattice(generic3)
-        systems = [equations(intersect(generic3, f.support)) for f in L.flats.values()]
+        systems = [equations(intersect(generic3, f.support)) for f in flats_by_id(L).values()]
         assert len(systems) == len(set(systems))
 
     def test_order_respects_dimension(self, generic3):
         L = build_lattice(generic3)
+        by_id = flats_by_id(L)
         for x in L.ids():
             for y in L.ids():
                 if x != y and leq(L, x, y):
-                    assert L.flats[x].dim > L.flats[y].dim
+                    assert by_id[x].dim > by_id[y].dim
 
     def test_three_planes_in_r3(self):
         A = lines((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
         L = build_lattice(A)
-        assert sorted(f.dim for f in L.flats.values()) == [0, 1, 1, 1, 2, 2, 2, 3]
+        assert sorted(f.dim for f in flats_by_id(L).values()) == [0, 1, 1, 1, 2, 2, 2, 3]
         assert f_vector_from_semilattice(L) == [1, 6, 12, 8]
 
     def test_flat_budget(self, monkeypatch):
         # three coordinate planes in R^3 have 8 flats
         A = lines((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
         monkeypatch.setattr(exactgeom, "MAX_FLATS", 8)
-        assert len(build_lattice(A).flats) == 8
+        assert len(flats_by_id(build_lattice(A))) == 8
 
         def no_validation(*args):
             raise AssertionError("saturation ran past the budget")
@@ -246,7 +255,7 @@ class TestBuildLattice:
         # j is in a flat's support exactly when cutting with j changes nothing
         for A in (generic3, concurrent3):
             L = build_lattice(A)
-            for fl in L.flats.values():
+            for fl in flats_by_id(L).values():
                 for j in range(len(A.rows)):
                     cut = intersect(A, fl.support | {j})
                     unchanged = cut is not None and equations(cut) == equations(intersect(A, fl.support))
@@ -256,36 +265,36 @@ class TestBuildLattice:
 class TestRestrict:
     def test_axes_on_one_line_gives_chain(self, axes):
         L = build_lattice(axes)
-        line = next(f for f in L.flats.values() if f.dim == 1)
+        line = next(f for f in flats_by_id(L).values() if f.dim == 1)
         R = restrict(axes, flat(axes, line.support))
-        assert sorted(f.dim for f in R.flats.values()) == [0, 1]
+        assert sorted(f.dim for f in flats_by_id(R).values()) == [0, 1]
         assert R.ambient_dim == 1
 
     def test_at_whole_space_equals_build(self, generic3):
         L = build_lattice(generic3)
-        top = flat(generic3, L.flats[minimum(L)].support)
+        top = flat(generic3, flats_by_id(L)[minimum(L)].support)
         assert semilattice_to_json(restrict(generic3, top)) == semilattice_to_json(L)
 
     def test_generic_line_carries_two_points(self, generic3):
         L = build_lattice(generic3)
-        line = next(f for f in L.flats.values() if f.dim == 1)
+        line = next(f for f in flats_by_id(L).values() if f.dim == 1)
         R = restrict(generic3, flat(generic3, line.support))
-        assert sorted(f.dim for f in R.flats.values()) == [0, 0, 1]
+        assert sorted(f.dim for f in flats_by_id(R).values()) == [0, 0, 1]
 
     def test_at_point_is_singleton(self, axes):
         L = build_lattice(axes)
-        point = next(f for f in L.flats.values() if f.dim == 0)
+        point = next(f for f in flats_by_id(L).values() if f.dim == 0)
         R = restrict(axes, flat(axes, point.support))
-        assert len(R.flats) == 1 and R.ambient_dim == 0
+        assert len(flats_by_id(R)) == 1 and R.ambient_dim == 0
 
     def test_matches_upper_set_as_ranked_poset(self, generic3, concurrent3):
         for A in (generic3, concurrent3):
             L = build_lattice(A)
             for fid in L.ids():
-                R = restrict(A, flat(A, L.flats[fid].support))
+                R = restrict(A, flat(A, flats_by_id(L)[fid].support))
                 U = upper_set(L, fid)
-                assert sorted(f.dim for f in R.flats.values()) == sorted(
-                    f.dim for f in U.flats.values()
+                assert sorted(f.dim for f in flats_by_id(R).values()) == sorted(
+                    f.dim for f in flats_by_id(U).values()
                 )
                 assert mobius_polynomial(R) == mobius_polynomial(U)
 

@@ -20,7 +20,8 @@ from cutcount.faces import (
     signs_to_string,
 )
 from cutcount.wiring import WiringDiagram, lattice_from_wiring, validate_wiring
-from reference import DimensionMismatch, chamber_count, chambers, feasible, signs_from_string, upper_set
+from reference import (DimensionMismatch, chamber_count, chambers, feasible, flats_by_id, signs_from_string,
+                       upper_set)
 
 
 def lines(*rows):
@@ -115,16 +116,14 @@ class TestBetween:
 class TestEnumerate:
     def test_empty_arrangement_has_one_face(self):
         A = Arrangement(2, [])
-        records = enumerate_faces(A)
-        assert len(records) == 1
-        assert records[0].signs == () and records[0].dim == 2
+        assert enumerate_faces(A) == [((), 2, 0)]
 
     def test_axes_has_nine_faces(self, axes):
         records = enumerate_faces(axes)
-        assert [signs_to_string(r.signs) for r in records] == [
+        assert [signs_to_string(signs) for signs, _, _ in records] == [
             "00", "0+", "0-", "+0", "++", "+-", "-0", "-+", "--",
         ]
-        assert [r.dim for r in records] == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+        assert [dim for _, dim, _ in records] == [0, 1, 1, 1, 2, 2, 1, 2, 2]
 
     def test_concurrent_has_thirteen(self, concurrent3):
         assert len(enumerate_faces(concurrent3)) == 13
@@ -134,30 +133,30 @@ class TestEnumerate:
         mixed = lines((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 0, 1), (1, -1, 0))
         for A in (generic3, concurrent3, mixed):
             m = len(A.rows)
-            walked = {r.signs for r in enumerate_faces(A)}
+            walked = {signs for signs, _, _ in enumerate_faces(A)}
             brute = {s for s in product((1, 0, -1), repeat=m) if feasible(A, s)}
             assert walked == brute
 
     def test_same_zero_set_same_flat(self, concurrent3):
-        L = build_lattice(concurrent3)
+        by_id = flats_by_id(build_lattice(concurrent3))
         by_zero = {}
-        for r in enumerate_faces(concurrent3):
-            zero = tuple(i for i, s in enumerate(r.signs) if s == 0)
-            by_zero.setdefault(zero, set()).add(r.flat_id)
-            assert L.flats[r.flat_id].support == frozenset(zero), r.signs
+        for signs, _, fid in enumerate_faces(concurrent3):
+            zero = tuple(i for i, s in enumerate(signs) if s == 0)
+            by_zero.setdefault(zero, set()).add(fid)
+            assert by_id[fid].support == frozenset(zero), signs
         assert all(len(ids) == 1 for ids in by_zero.values())
 
     def test_face_dim_equals_flat_dim(self, generic3):
-        L = build_lattice(generic3)
-        for r in enumerate_faces(generic3):
-            assert r.dim == L.flats[r.flat_id].dim
+        by_id = flats_by_id(build_lattice(generic3))
+        for _, dim, fid in enumerate_faces(generic3):
+            assert dim == by_id[fid].dim
 
     def test_faces_per_flat_count_chambers_of_upper_set(self, generic3, concurrent3):
         for A in (generic3, concurrent3):
             L = build_lattice(A)
             tally = {fid: 0 for fid in L.ids()}
-            for r in enumerate_faces(A):
-                tally[r.flat_id] += 1
+            for _, _, fid in enumerate_faces(A):
+                tally[fid] += 1
             for fid in L.ids():
                 assert tally[fid] == chamber_count(upper_set(L, fid))
 

@@ -11,7 +11,7 @@ import pytest
 from cutcount.exactgeom import Arrangement, build_lattice
 from cutcount.faces import DEFAULT_CAP, f_vector_oracle
 from cutcount.poset import mobius_polynomial
-from reference import f_vector_from_semilattice
+from reference import f_vector_from_semilattice, flats_by_id
 
 
 def stirling2(n, k):
@@ -60,7 +60,7 @@ def test_central_planes_and_one_affine_plane():
     normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 2)]
     A = Arrangement(3, [(*v, 0) for v in normals] + [(1, 1, 1, 7)])
     L = build_lattice(A)
-    assert sum(1 for x in L.ids() if L.flats[x].dim == 0) > 1
+    assert sum(1 for f in flats_by_id(L).values() if f.dim == 0) > 1
     assert f_vector_from_semilattice(L) == f_vector_oracle(A)
 
 

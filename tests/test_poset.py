@@ -18,7 +18,6 @@ from cutcount.errors import (
 from cutcount.poset import (
     MAX_FLATS,
     BiPolynomial,
-    Flat,
     f_from_mobius,
     mobius_polynomial,
     _validate_ids,
@@ -30,6 +29,7 @@ from reference import (
     chamber_count,
     constant,
     f_vector_from_semilattice,
+    flats_by_id,
     interval,
     leq,
     maximal_flats,
@@ -40,15 +40,12 @@ from reference import (
     rank_of,
     semilattice_to_json,
     upper_set,
+    with_supports,
 )
 
 
-def make(ambient, dims, pairs, supports=None):
-    flats = [
-        Flat(i, d, None if supports is None else frozenset(supports[i]))
-        for i, d in enumerate(dims)
-    ]
-    return _validate_ids(ambient, flats, pairs)
+def make(ambient, dims, pairs):
+    return _validate_ids(ambient, [*enumerate(dims)], pairs)
 
 
 def boolean_without_top(r):
@@ -61,9 +58,9 @@ def boolean_without_top(r):
 
 @pytest.fixture
 def axes():
-    # whole plane, two lines, their crossing point
-    return make(2, [2, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)],
-                supports=[(), (0,), (1,), (0, 1)])
+    # whole plane, two lines, their crossing point; supports {}, {0}, {1}, {0, 1}
+    return with_supports(make(2, [2, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)]),
+                         {0: 0b00, 1: 0b01, 2: 0b10, 3: 0b11})
 
 
 @pytest.fixture
@@ -75,23 +72,6 @@ def concurrent():
 @pytest.fixture
 def singleton():
     return make(2, [2], [])
-
-
-class TestFlat:
-    def test_defaults_and_repr(self):
-        f = Flat(3, 1)
-        assert f.support is None and Flat._fields == ("id", "dim", "support")
-        assert repr(f) == "Flat(id=3, dim=1, support=None)"
-        assert repr(Flat(0, 2, frozenset({1}))) == "Flat(id=0, dim=2, support=frozenset({1}))"
-        with pytest.raises(TypeError):
-            Flat(3, 1, None, None)
-
-    @pytest.mark.parametrize("name", ["id", "dim", "support"])
-    def test_fields_are_read_only(self, name):
-        f = Flat(3, 1)
-        with pytest.raises(AttributeError):
-            setattr(f, name, 0)
-        assert f == Flat(3, 1) and hash(f) == hash(Flat(3, 1))
 
 
 class TestValidate:
@@ -143,11 +123,11 @@ class TestValidate:
 
     def test_negative_ambient_dimension(self):
         with pytest.raises(ValueError, match="^ambient dimension must be nonnegative$"):
-            _validate_ids(-1, [Flat(0, -1)], [])
+            _validate_ids(-1, [(0, -1)], [])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
-            _validate_ids(2, [Flat(0, 2), Flat(0, 1)], [])
+            _validate_ids(2, [(0, 2), (0, 1)], [])
 
     def test_flat_budget(self):
         # refused from the flat count alone, before any order row exists
@@ -236,16 +216,25 @@ class TestValidate:
                 call()
             assert str(info.value) == "no flat with id 7"
 
+    # no coercion: True and 1.0 equal id 1 and hash alike, but are no ids
+    @pytest.mark.parametrize("x", [True, 1.0, "1"])
+    def test_above_takes_int_ids_only(self, axes, x):
+        with pytest.raises(UnknownFlat) as info:
+            axes.above(x)
+        assert str(info.value) == f"no flat with id {x!r}"
+
 
 class TestPositionForm:
     """validate_semilattice takes the flats by position in (rank, id) order;
     a malformed position form is refused in one line, never indexed past."""
 
     def test_axes_by_position_equal_axes_by_id(self, axes):
-        L = validate_semilattice(2, [0, 1, 1, 2], [[1, 2], [3], [3], []], range(4),
-                                 [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
-        assert (L._above, L._maximal, L._strict, L._ranks) == (axes._above, axes._maximal, axes._strict, axes._ranks)
-        assert L.flats == axes.flats and mobius_polynomial(L) == mobius_polynomial(axes)
+        L = validate_semilattice(2, [0, 1, 1, 2], [[1, 2], [3], [3], []], range(4), [0b00, 0b01, 0b10, 0b11])
+        by_id = make(2, [2, 1, 1, 0], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        for M in (axes, by_id):
+            assert (L._above, L._maximal, L._strict, L._ranks) == (M._above, M._maximal, M._strict, M._ranks)
+        assert flats_by_id(L) == flats_by_id(axes) and mobius_polynomial(L) == mobius_polynomial(axes)
+        assert flats_by_id(L)[3] == (3, 0, frozenset({0, 1}))
 
     # the plane, two lines and their point, with one position form fault each
     @pytest.mark.parametrize("ranks, succ, error, message", [
@@ -275,7 +264,7 @@ class TestPositionForm:
     @pytest.mark.parametrize("succ, ids, supports", [
         ([[1, 2], [3], [3]], range(4), None),
         ([[1, 2], [3], [3], []], range(3), None),
-        ([[1, 2], [3], [3], []], range(4), [frozenset()] * 5),
+        ([[1, 2], [3], [3], []], range(4), [0] * 5),
     ])
     def test_one_entry_per_position(self, succ, ids, supports):
         with pytest.raises(ValueError, match="^ranks, successors, ids and supports need one entry per position$"):
@@ -455,20 +444,20 @@ class TestUpperSet:
 
     def test_axis_gives_chain(self, axes):
         U = upper_set(axes, 1)
-        assert sorted(f.dim for f in U.flats.values()) == [0, 1]
+        assert sorted(f.dim for f in flats_by_id(U).values()) == [0, 1]
         assert U.ambient_dim == 1
         assert str(mobius_polynomial(U)) == "x + y - 1"
 
     def test_at_maximal_flat_is_singleton(self, axes):
         U = upper_set(axes, 3)
-        assert len(U.flats) == 1
+        assert len(flats_by_id(U)) == 1
         assert str(mobius_polynomial(U)) == "1"
 
     def test_supports_are_remapped(self, axes):
         # re-rooting at the line with support {0} drops 0 everywhere
         U = upper_set(axes, 1)
-        assert U.flats[1].support == frozenset()
-        assert U.flats[3].support == frozenset([1])
+        assert flats_by_id(U)[1].support == frozenset()
+        assert flats_by_id(U)[3].support == frozenset([1])
 
     def test_matches_mobius_subsums(self, concurrent):
         for x in concurrent.ids():

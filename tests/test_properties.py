@@ -17,10 +17,10 @@ from cutcount.faces import (
     _walk_faces,
     enumerate_faces,
     f_vector_oracle,
+    faces_to_json,
 )
 from cutcount.poset import (
     BiPolynomial,
-    Flat,
     _validate_ids,
     f_from_mobius,
     mobius_polynomial,
@@ -42,6 +42,7 @@ from reference import (
     f_vector_from_semilattice,
     feasible,
     flat,
+    flats_by_id,
     fm_point,
     interval,
     leq,
@@ -162,7 +163,7 @@ def test_chambers_match_mobius_count(A):
 @given(plane_arrangements(max_planes=5))
 @settings(max_examples=30, deadline=None)
 def test_pruned_walk_equals_exhaustive_search(A):
-    walked = {r.signs for r in enumerate_faces(A)}
+    walked = {signs for signs, _, _ in enumerate_faces(A)}
     brute = {
         s for s in product((1, 0, -1), repeat=len(A.rows)) if feasible(A, s)
     }
@@ -172,7 +173,7 @@ def test_pruned_walk_equals_exhaustive_search(A):
 @given(space_arrangements())
 @settings(max_examples=60, deadline=None)
 def test_space_walk_equals_exhaustive_search_and_mobius(A):
-    walked = [r.signs for r in enumerate_faces(A)]
+    walked = [signs for signs, _, _ in enumerate_faces(A)]
     # product over (0, 1, -1) runs in the walk's 0 < + < - order
     brute = [s for s in product((0, 1, -1), repeat=len(A.rows)) if feasible(A, s)]
     assert walked == brute
@@ -224,11 +225,28 @@ def test_witnesses_certify_every_face_of_the_acceptance_batch():
 @settings(max_examples=100, deadline=None)
 def test_face_flat_is_its_zero_set(A):
     # a face is relatively open in its flat, so the flat's support is the face's zero set
+    by_id = flats_by_id(build_lattice(A))
+    for signs, dim, fid in enumerate_faces(A):
+        X = by_id[fid]
+        assert X.support == frozenset(j for j, s in enumerate(signs) if s == 0), signs
+        assert X.dim == dim, signs
+
+
+@given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
+@settings(max_examples=60, deadline=None)
+def test_faces_document_names_one_flat_per_zero_set(A):
+    # the `faces` document gives faces with one zero set one flat, and distinct
+    # zero sets distinct flats; each flat of the lattice is named, with its dimension
     L = build_lattice(A)
-    for r in enumerate_faces(A):
-        X = L.flats[r.flat_id]
-        assert X.support == frozenset(j for j, s in enumerate(r.signs) if s == 0), r.signs
-        assert X.dim == r.dim, r.signs
+    by_id = flats_by_id(L)
+    doc = faces_to_json(A, enumerate_faces(A))
+    flat_of = {}
+    for face in doc["faces"]:
+        zero = frozenset(j for j, c in enumerate(face["signs"]) if c == "0")
+        assert flat_of.setdefault(zero, face["flat"]) == face["flat"], face
+        assert by_id[face["flat"]].dim == face["dim"], face
+    assert sorted(flat_of.values()) == sorted(set(flat_of.values())) == list(L.ids())
+    assert doc["f_vector"] == f_vector_oracle(A)
 
 
 @given(plane_arrangements(max_planes=5) | space_arrangements() | affine_arrangements())
@@ -313,7 +331,7 @@ def brute_force_lattice(A):
 def test_lattice_equals_brute_force(A):
     L = build_lattice(A)
     flats, doc = brute_force_lattice(A)
-    assert [(equations(intersect(A, f.support)), f.dim, f.support) for f in map(L.flats.get, L.ids())] == flats
+    assert [(equations(intersect(A, f.support)), f.dim, f.support) for f in map(flats_by_id(L).get, L.ids())] == flats
     assert semilattice_to_json(L) == doc
 
 
@@ -325,7 +343,7 @@ def test_flat_identity_is_its_system(A):
     distinct lattice flats give unequal flats."""
     L = build_lattice(A)
     flats = []
-    for f in map(L.flats.get, L.ids()):
+    for f in map(flats_by_id(L).get, L.ids()):
         X = flat(A, f.support)
         assert (X.support, X.dim) == (f.support, f.dim)
         again = flat(A, sorted(f.support, reverse=True))
@@ -381,26 +399,28 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
     chart, is a flat of A inside X: the flat of A with the support of its
     image and its dimension. Every flat inside X is hit once."""
     L = build_lattice(A)
+    by_id = flats_by_id(L)
     for x in L.ids():
-        X = flat(A, L.flats[x].support)
+        X = flat(A, by_id[x].support)
         R, U = restrict(A, X), upper_set(L, x)
-        assert sorted(f.dim for f in R.flats.values()) == sorted(f.dim for f in U.flats.values())
+        assert sorted(f.dim for f in flats_by_id(R).values()) == sorted(f.dim for f in flats_by_id(U).values())
         assert mobius_polynomial(R) == mobius_polynomial(U)
         assert f_vector_from_semilattice(R) == f_vector_from_semilattice(U)
         if X.dim == 0:
             continue  # the restriction to a point is that point, in no chart
         chart, B = _Chart(X.system, A.ambient_dim), traces(A, X)
-        by_support = {L.flats[y].support: L.flats[y] for y in L.above(x)}
+        by_support = {by_id[y].support: by_id[y] for y in L.above(x)}
+        restricted = flats_by_id(R)
         images = []
         for r in R.ids():
-            point, moves = pull_back(chart, equations(intersect(B, R.flats[r].support)))
+            point, moves = pull_back(chart, equations(intersect(B, restricted[r].support)))
             support = frozenset(
                 j for j, row in enumerate(A.rows)
                 if sum(a * v for a, v in zip(row, point)) == row[-1]
                 and not any(sum(a * v for a, v in zip(row, m)) for m in moves)
             )
             # the image lies in the flat of its support; equal dimension makes them one
-            assert support in by_support and by_support[support].dim == R.flats[r].dim
+            assert support in by_support and by_support[support].dim == restricted[r].dim
             images.append(support)
         assert sorted(images, key=sorted) == sorted(by_support, key=sorted)
 
@@ -488,7 +508,7 @@ def assert_same_order_by_id(L):
     R = semilattice_from_json(semilattice_to_json(L))
     assert (R._order, R._above, R._maximal, R._strict, R._ranks) == (
         L._order, L._above, L._maximal, L._strict, L._ranks)
-    assert R.flats == {x: f._replace(support=None) for x, f in L.flats.items()}
+    assert flats_by_id(R) == {x: f._replace(support=None) for x, f in flats_by_id(L).items()}
     assert mobius_polynomial(R) == mobius_polynomial(L)
 
 
@@ -698,7 +718,7 @@ def check_against_brute_force(relation):
 
     meets = all(has_meet(a, b) for a in flats for b in flats)
     try:
-        L = _validate_ids(ambient, [Flat(i, d) for i, d in enumerate(dims)], pairs)
+        L = _validate_ids(ambient, [*enumerate(dims)], pairs)
     except MissingMeet as exc:
         assert failure is None and not meets
         found = re.fullmatch(

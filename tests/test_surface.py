@@ -19,7 +19,7 @@ def test_public_surface():
     )
     assert names == [
         "Arrangement", "BiPolynomial", "CapExceeded",
-        "CutcountError", "DuplicateHyperplane", "FaceRecord", "Flat",
+        "CutcountError", "DuplicateHyperplane",
         "FlatNotInLattice", "MissingMeet", "NegativeCoefficient", "NoMinimum",
         "NotAPartialOrder", "OutOfRange", "ParamError", "ParseError", "RankViolation",
         "RepeatedCrossing", "Semilattice", "UnknownFlat", "UnsupportedKind", "WiringDiagram",

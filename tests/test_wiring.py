@@ -16,7 +16,7 @@ from cutcount.wiring import (
     wiring_from_json,
     wiring_to_json,
 )
-from reference import f_vector_from_semilattice
+from reference import f_vector_from_semilattice, flats_by_id
 
 
 def diagram(wires, *events):
@@ -93,6 +93,13 @@ class TestValidate:
         with pytest.raises(OutOfRange, match="^a wiring diagram needs at least one wire$"):
             WiringDiagram(0, ())
 
+    # no coercion: True is no one wire, nor 2.0 or "2" two wires
+    @pytest.mark.parametrize("wires", [True, 2.0, "2"])
+    def test_wire_count_must_be_an_int(self, wires):
+        with pytest.raises(OutOfRange) as info:
+            WiringDiagram(wires, ())
+        assert str(info.value) == f"the wire count must be an int: {wires!r}"
+
     def test_flat_budget(self):
         # the plane, one line per wire and one point per event
         assert diagram(MAX_FLATS - 1).groups == ()
@@ -105,19 +112,19 @@ class TestValidate:
 class TestLattice:
     def test_triple_point(self, triple):
         L = lattice_from_wiring(triple)
-        assert sorted(f.dim for f in L.flats.values()) == [0, 1, 1, 1, 2]
-        point = next(f for f in L.flats.values() if f.dim == 0)
+        assert sorted(f.dim for f in flats_by_id(L).values()) == [0, 1, 1, 1, 2]
+        point = next(f for f in flats_by_id(L).values() if f.dim == 0)
         # the plane is flat 0 and wire i's line is flat 1 + i
         assert [x for x in L.ids() if x != point.id and point.id in L.above(x)] == [0, 1, 2, 3]
-        assert all(f.support is None for f in L.flats.values())
+        assert all(f.support is None for f in flats_by_id(L).values())
 
     def test_generic_three(self, generic3):
         L = lattice_from_wiring(generic3)
-        assert sorted(f.dim for f in L.flats.values()) == [0, 0, 0, 1, 1, 1, 2]
+        assert sorted(f.dim for f in flats_by_id(L).values()) == [0, 0, 0, 1, 1, 1, 2]
 
     def test_parallel_pair(self):
         L = lattice_from_wiring(diagram(2))
-        assert len(L.flats) == 3 and L.rank == 1
+        assert len(flats_by_id(L)) == 3 and L.rank == 1
 
     def test_requires_validation(self):
         # no unchecked diagram exists to build a lattice from
