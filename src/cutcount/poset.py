@@ -66,7 +66,8 @@ class Semilattice:
     `maximal` is set when that up-set is the flat alone, and `strict` counts
     the strict order pairs, for the Möbius budget. `_supports[i]` is the
     bitmask of the hyperplanes containing the flat at position i, or None.
-    `_pos` (each id's position) is built on first read, for the public methods.
+    `_pos` (each id's position) is built on first read, for the public methods,
+    and raises ValueError on an id that is not an int or is repeated.
     """
 
     def __init__(self, ambient_dim: int, order: tuple, supports, ranks: tuple,
@@ -83,11 +84,18 @@ class Semilattice:
 
     @cached_property
     def _pos(self) -> dict[int, int]:
-        return {fid: i for i, fid in enumerate(self._order)}
+        pos = {}
+        for i, fid in enumerate(self._order):
+            if type(fid) is not int:
+                raise ValueError(f"flat id must be an int: {fid!r}")
+            if fid in pos:
+                raise ValueError(f"duplicate flat id {fid}")
+            pos[fid] = i
+        return pos
 
     def ids(self) -> tuple[int, ...]:
         """Flat ids in ascending order."""
-        return tuple(sorted(self._order))
+        return tuple(sorted(self._pos))
 
     def above(self, x: int) -> list[int]:
         """Ids of flats y >= x, ordered by (rank, id)."""
@@ -103,16 +111,17 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     when `supports` is), and lies below its given successors, the flats at
     the positions in `succ[i]`.
 
-    Raises NoMinimum on no flat, CapExceeded on more than MAX_FLATS,
-    RankViolation when ranks fall along the positions or pass ambient_dim
-    or a successor's does not rise, and UnknownFlat on a successor outside
-    0..F-1. As every successor rises, so does every chain: the order has no
-    cycle, dimensions strictly decrease along it, and (rank, id) order is
-    topological. So one backward pass builds each up-set from those of the
-    flat's successors, checking each one's rise on the way. Then the order
-    has a minimum exactly when the first up-set holds every flat, and it
-    must have the ambient dimension. The flats whose up-set is the flat
-    alone are marked maximal, and the strict order pairs counted, once.
+    Raises ValueError on an ambient_dim that is not an int, NoMinimum on no
+    flat, CapExceeded on more than MAX_FLATS, RankViolation when ranks fall
+    along the positions or pass ambient_dim or a successor's does not rise,
+    and UnknownFlat on a successor outside 0..F-1. As every successor rises,
+    so does every chain: the order has no cycle, dimensions strictly
+    decrease along it, and (rank, id) order is topological. So one backward
+    pass builds each up-set from those of the flat's successors, checking
+    each one's rise on the way. Then the order has a minimum exactly when
+    the first up-set holds every flat, and it must have the ambient
+    dimension. The flats whose up-set is the flat alone are marked maximal,
+    and the strict order pairs counted, once.
 
     Meets rest on two lemmas. First, a finite poset with a minimum is a
     meet-semilattice exactly when any two elements with a common upper bound
@@ -135,18 +144,23 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     maximal flats and every strict up-set of one of them. Without that last
     step, input that gives every order pair would pair each flat's whole
     up-set, a cube of work. A pair (a, b) passes when above[a] & above[b] is
-    0 or a principal up-set. When the pairs outnumber the flats above their
-    members, as on a pencil's plane, each member a is paired only with the
-    members reached from a's up-set, down the given pairs, with the flat T
-    of largest down-set left out (the cone point of a central arrangement,
-    which lies above every flat). A failing pair has two distinct minimal
-    common upper bounds, so at least one of them is not T, and a pair whose
-    only common upper bound is T passes. Only this route needs the
-    down-sets, so they and T are built only when it is first taken.
-    MissingMeet names the first flat in (rank, id) order with a failing
-    pair, its first failing pair, and two minimal common upper bounds of it.
+    0 or a principal up-set. One flat u is principal with no lookup, as
+    above[u] lies inside it, and a failing pair has two minimal common upper
+    bounds, so none passes this way. When the pairs outnumber the flats
+    above their members, as on a pencil's plane, each member a is paired
+    only with the members reached from a's up-set, down the given pairs,
+    with the flat T of largest down-set left out (the cone point of a
+    central arrangement, which lies above every flat). A failing pair has
+    two distinct minimal common upper bounds, so at least one of them is not
+    T, and a pair whose only common upper bound is T passes. Only this route
+    needs the down-sets, so they and T are built only when it is first
+    taken. MissingMeet names the first flat in (rank, id) order with a
+    failing pair, its first failing pair, and two minimal common upper
+    bounds of it.
     """
     n = ambient_dim
+    if type(n) is not int:
+        raise ValueError(f"ambient dimension must be an int: {n!r}")
     size = len(ranks)
     if not size:
         raise NoMinimum("a semilattice needs at least one flat")
@@ -217,8 +231,9 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
                 partners = _bits(reach & succ_c >> a + 1 << a + 1)
             for b in partners:
                 common = row & above[b]
-                # a principal up-set starts at its own flat, its lowest bit
-                if common and above[(common & -common).bit_length() - 1] != common:
+                # one flat u is principal, as above[u] lies inside it; more flats
+                # are principal when they are the up-set of their lowest bit
+                if common & common - 1 and above[(common & -common).bit_length() - 1] != common:
                     u1, u2 = [ids[u] for u in _bits(_minimal(common, above))][:2]
                     raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                       f" both are minimal above {ids[a]} and {ids[b]}")

@@ -43,6 +43,9 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
     Raises ValueError on the first event that is not a tuple of two ints,
     OutOfRange or RepeatedCrossing on the first invalid event, and
     CapExceeded when the lattice would have more than MAX_FLATS flats.
+    Two wires of an event have crossed before when they are out of index
+    order: a two-wire event is checked by one comparison and swaps its pair
+    in place, and a larger event finds its first such pair by suffix minima.
     """
     flats = 1 + w.wires + len(w.events)
     if flats > MAX_FLATS:
@@ -59,9 +62,16 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
         end = top + size
         if top < 0 or end > w.wires:
             raise OutOfRange(f"event {i} covers positions {top}..{end - 1} on {w.wires} wires")
+        # two wires out of index order have crossed once already
+        if size == 2:
+            a, b = perm[top], perm[top + 1]
+            if a > b:
+                raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
+            perm[top], perm[top + 1] = b, a
+            groups.append((a, b))
+            continue
         group = perm[top:end]
-        # two wires out of index order have crossed once already; suffix
-        # minima find the first such pair in combinations(group, 2) order
+        # suffix minima find the first such pair in combinations(group, 2) order
         if group != sorted(group):
             after = list(accumulate(reversed(group), min))[::-1]
             a = next(a for a, low in zip(group, after[1:]) if a > low)
@@ -99,9 +109,8 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
     groups = w.groups
     n = w.wires
     f0 = len(groups)
-    f1 = n + sum(len(g) for g in groups)
-    f2 = n + 1 + sum(len(g) - 1 for g in groups)
-    return f0, f1, f2
+    meets = sum(map(len, groups))
+    return f0, n + meets, n + 1 + meets - f0
 
 
 def wiring_from_json(doc: dict) -> WiringDiagram:

@@ -270,6 +270,27 @@ class TestPositionForm:
         with pytest.raises(ValueError, match="^ranks, successors, ids and supports need one entry per position$"):
             validate_semilattice(2, [0, 1, 1, 2], succ, ids, supports)
 
+    # no coercion: True and 2.0 are refused as "2" is, in one line
+    @pytest.mark.parametrize("dim", [True, 2.0, "2"])
+    def test_ambient_dimension_must_be_an_int(self, dim):
+        with pytest.raises(ValueError) as info:
+            validate_semilattice(dim, [0, 1], [[1], []], range(2))
+        assert str(info.value) == f"ambient dimension must be an int: {dim!r}"
+
+    # ids are checked once, when the id map is first built
+    @pytest.mark.parametrize("ids, message", [
+        ([0, True], "flat id must be an int: True"),
+        ([0.0, 1.5], "flat id must be an int: 0.0"),
+        (["a", "b"], "flat id must be an int: 'a'"),
+        ([0, 0], "duplicate flat id 0"),
+    ])
+    def test_ids_must_be_distinct_ints(self, ids, message):
+        L = validate_semilattice(1, [0, 1], [[1], []], ids)
+        for read in (L.ids, lambda: L.above(0)):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == message
+
 
 class TestMobius:
     def test_reflexive_is_one(self, axes):

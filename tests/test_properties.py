@@ -552,6 +552,10 @@ def event_lists(draw):
 @given(event_lists())
 # wires 1 and 0 meet again at positions 0 and 2 of the last event
 @example((3, [(0, 2), (1, 2), (0, 3)]))
+# wires 0 and 1 meet again: two wires after two, three after two, two after three
+@example((2, [(0, 2), (0, 2)]))
+@example((3, [(0, 2), (0, 3)]))
+@example((3, [(0, 3), (1, 2)]))
 @settings(max_examples=400, deadline=None)
 def test_validate_wiring_matches_crossed_pair_reference(case):
     wires, events = case
