@@ -58,16 +58,21 @@ def _scaled(row) -> list[str]:
 class Arrangement:
     """An ordered, duplicate-free list of hyperplanes in R^n, each given as a
     row of int or Fraction entries, normal entries then offset (float and bool
-    raise ValueError), and kept in `rows` as its `_canonical` integer row."""
+    raise ValueError), and kept in `rows` as its `_canonical` integer row.
+    The rows, and each row, must be a list or tuple, else ValueError."""
 
     def __init__(self, ambient_dim: int, rows) -> None:
         if type(ambient_dim) is not int:
             raise ValueError(f"ambient dimension must be an int: {ambient_dim!r}")
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be at least 1")
+        if type(rows) not in (list, tuple):
+            raise ValueError(f"rows must be a list or tuple: {rows!r}")
         self.ambient_dim = ambient_dim
         seen: dict[tuple[int, ...], int] = {}
         for i, row in enumerate(rows):
+            if type(row) not in (list, tuple):
+                raise ValueError(f"hyperplane {i} must be a list or tuple: {row!r}")
             if not all(type(v) is int or isinstance(v, Fraction) for v in row):
                 raise ValueError(f"hyperplane entries must be int or Fraction: {list(row)}")
             row = _canonical(row)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .errors import (
@@ -116,12 +117,13 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     along the positions or pass ambient_dim or a successor's does not rise,
     and UnknownFlat on a successor outside 0..F-1. As every successor rises,
     so does every chain: the order has no cycle, dimensions strictly
-    decrease along it, and (rank, id) order is topological. So one backward
-    pass builds each up-set from those of the flat's successors, checking
-    each one's rise on the way. Then the order has a minimum exactly when
-    the first up-set holds every flat, and it must have the ambient
-    dimension. The flats whose up-set is the flat alone are marked maximal,
-    and the strict order pairs counted, once.
+    decrease along it, and (rank, id) order is topological. A flat with no
+    given successor is maximal, its up-set itself, so one backward pass over
+    the other flats builds each up-set from those of the flat's successors,
+    checking each one's rise on the way. Then the order has a minimum
+    exactly when the first up-set holds every flat, and it must have the
+    ambient dimension. The maximal flats are marked, and the strict order
+    pairs counted over the other flats' up-sets, once.
 
     Meets rest on two lemmas. First, a finite poset with a minimum is a
     meet-semilattice exactly when any two elements with a common upper bound
@@ -171,19 +173,23 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     if [*ranks] != sorted(ranks) or ranks[-1] > n:
         raise RankViolation(f"ranks must not fall along the positions nor pass the ambient dimension {n}")
 
+    # bit i is set when the flat at position i is maximal, its up-set itself:
+    # as every given successor must rise, that is when it has none
+    maximal = int("".join(["0" if s else "1" for s in reversed(succ)]), 2)
+    above = [1 << y for y in range(size)]
     # each rank present is one run of positions; a successor of a flat in the
-    # run ending before `end` rises when it lies at or past `end`
-    above = [0] * size
-    ends = [bisect_right(ranks, r) for r in dict.fromkeys(ranks)]
-    for start, end in reversed([*zip([0, *ends], ends)]):
-        for y in range(end - 1, start - 1, -1):
-            row = 1 << y
-            for b in succ[y]:
-                if not end <= b < size:
-                    fault = RankViolation if 0 <= b < size else UnknownFlat
-                    raise fault(f"successor {b} of position {y} is not a position of larger rank")
-                row |= above[b]
-            above[y] = row
+    # run ending before ends[r] rises when it lies at or past ends[r]
+    ends = {r: bisect_right(ranks, r) for r in dict.fromkeys(ranks)}
+    non_maximal = [*compress(range(size), succ)]
+    for y in reversed(non_maximal):
+        end = ends[ranks[y]]
+        row = above[y]
+        for b in succ[y]:
+            if not end <= b < size:
+                fault = RankViolation if 0 <= b < size else UnknownFlat
+                raise fault(f"successor {b} of position {y} is not a position of larger rank")
+            row |= above[b]
+        above[y] = row
 
     full = (1 << size) - 1
     if above[0] != full:
@@ -193,12 +199,10 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
             f"minimum flat {ids[0]} has dimension {n - ranks[0]}, expected the ambient {n}"
         )
 
-    counts = list(map(int.bit_count, above))
-    # bit i is set when the flat at position i is maximal: its up-set is itself
-    maximal = int("".join(["1" if k == 1 else "0" for k in reversed(counts)]), 2)
+    counts = {c: above[c].bit_count() for c in non_maximal}
     inner = full ^ maximal
     below = but_t = None
-    for c in _bits(inner):
+    for c in non_maximal:
         # the non-maximal flats above c but c: with none, c has no pair to test
         rest = above[c] & inner ^ 1 << c
         if not rest:
@@ -238,7 +242,8 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
                     raise MissingMeet(f"flats {u1} and {u2} have no greatest lower bound:"
                                       f" both are minimal above {ids[a]} and {ids[b]}")
 
-    return Semilattice(n, tuple(ids), supports or (None,) * size, tuple(ranks), above, maximal, sum(counts) - size)
+    return Semilattice(n, tuple(ids), supports or (None,) * size, tuple(ranks), above, maximal,
+                       sum(counts.values()) - len(counts))
 
 
 def _validate_ids(ambient_dim: int, flats: Iterable[tuple[int, int]], pairs: Iterable[tuple[int, int]]) -> Semilattice:

@@ -17,12 +17,12 @@ from .poset import MAX_FLATS, Semilattice, validate_semilattice
 
 @dataclass(frozen=True)
 class WiringDiagram:
-    """n wires and an ordered event list, checked when it is built. An
-    event (top, size), a tuple of two ints, is size wires at positions
-    top..top+size-1 meeting at one point and reversing. The constructor
-    runs validate_wiring, which stores `events` as a tuple and `groups`,
-    the wires meeting at each event from top to bottom, so no unchecked
-    diagram exists."""
+    """n wires and an ordered event list, checked when it is built. The
+    events are a list or tuple; an event (top, size), a tuple of two ints,
+    is size wires at positions top..top+size-1 meeting at one point and
+    reversing. The constructor runs validate_wiring, which stores `events`
+    as a tuple and `groups`, the wires meeting at each event from top to
+    bottom, so no unchecked diagram exists."""
 
     wires: int
     events: tuple[tuple[int, int], ...]
@@ -40,36 +40,42 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
     """Run the sweep, set `events` (as a tuple) and `groups` on `w`, and
     return it. Every WiringDiagram runs this when it is built.
 
-    Raises ValueError on the first event that is not a tuple of two ints,
-    OutOfRange or RepeatedCrossing on the first invalid event, and
-    CapExceeded when the lattice would have more than MAX_FLATS flats.
-    Two wires of an event have crossed before when they are out of index
-    order: a two-wire event is checked by one comparison and swaps its pair
-    in place, and a larger event finds its first such pair by suffix minima.
+    Raises ValueError on events that are not a list or tuple, then
+    CapExceeded when the lattice would have more than MAX_FLATS flats, then
+    in event order ValueError on an event that is not a tuple of two ints
+    (the only type check on events, JSON input included), OutOfRange on
+    its size, then its range, and RepeatedCrossing. Two wires of an event
+    have crossed before when they are out of index order: a two-wire event
+    inside the wires takes one combined size and range test, then one
+    comparison, and swaps its pair in place; any other event is checked for
+    size and range and finds its first such pair by suffix minima.
     """
-    flats = 1 + w.wires + len(w.events)
+    n, events = w.wires, w.events
+    if type(events) not in (list, tuple):
+        raise ValueError(f"events must be a list or tuple: {events!r}")
+    flats = 1 + n + len(events)
     if flats > MAX_FLATS:
-        raise CapExceeded(f"{w.wires} wires and {len(w.events)} events make {flats} flats,"
+        raise CapExceeded(f"{n} wires and {len(events)} events make {flats} flats,"
                           f" over the budget of {MAX_FLATS}")
-    perm = list(range(w.wires))
+    perm = list(range(n))
     groups = []
-    for i, event in enumerate(w.events):
+    for i, event in enumerate(events):
         if type(event) is not tuple or len(event) != 2 or type(event[0]) is not int or type(event[1]) is not int:
             raise ValueError(f"event {i} must be a (top, size) pair of ints: {event!r}")
         top, size = event
-        if size < 2:
-            raise OutOfRange(f"event {i} has size {size}, need at least 2")
-        end = top + size
-        if top < 0 or end > w.wires:
-            raise OutOfRange(f"event {i} covers positions {top}..{end - 1} on {w.wires} wires")
         # two wires out of index order have crossed once already
-        if size == 2:
+        if size == 2 and 0 <= top < n - 1:
             a, b = perm[top], perm[top + 1]
             if a > b:
                 raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
             perm[top], perm[top + 1] = b, a
             groups.append((a, b))
             continue
+        if size < 2:
+            raise OutOfRange(f"event {i} has size {size}, need at least 2")
+        end = top + size
+        if top < 0 or end > n:
+            raise OutOfRange(f"event {i} covers positions {top}..{end - 1} on {n} wires")
         group = perm[top:end]
         # suffix minima find the first such pair in combinations(group, 2) order
         if group != sorted(group):
@@ -79,7 +85,7 @@ def validate_wiring(w: WiringDiagram) -> WiringDiagram:
             raise RepeatedCrossing(f"wires {b} and {a} cross twice (event {i})")
         perm[top:end] = group[::-1]
         groups.append(tuple(group))
-    object.__setattr__(w, "events", tuple(w.events))
+    object.__setattr__(w, "events", tuple(events))
     object.__setattr__(w, "groups", tuple(groups))
     return w
 
@@ -114,12 +120,12 @@ def sweep_f_vector(w: WiringDiagram) -> tuple[int, int, int]:
 
 
 def wiring_from_json(doc: dict) -> WiringDiagram:
-    """Build a diagram, which checks itself, from its JSON form; a shape fault is a ParseError."""
+    """Build a diagram, which checks itself, from its JSON form; a shape fault
+    is a ParseError. Each event object's top and size are passed on as they
+    are, so their types are checked, in event order, by validate_wiring."""
     with malformed("wiring"):
-        events = []
-        for e in json_field(doc["events"], list, "events"):
-            e = json_field(e, dict, "event")
-            events.append((json_field(e["top"], int, "top"), json_field(e["size"], int, "size")))
+        events = [(e["top"], e["size"]) if type(e) is dict else json_field(e, dict, "event")
+                  for e in json_field(doc["events"], list, "events")]
         return WiringDiagram(json_field(doc["wires"], int, "wires"), events)
 
 

@@ -635,6 +635,12 @@ def test_loaders_raise_parse_error(loader, doc):
      "malformed hyperplanes document: not a rational literal: '\u0663'"),
     ({"kind": "hyperplanes", "ambient_dim": 1, "hyperplanes": [{"normal": ["1/\u0663"], "offset": "0"}]},
      "malformed hyperplanes document: not a rational literal: '1/\u0663'"),
+    # an event's types are checked by validate_wiring, as on a library call
+    ({"kind": "wiring", "wires": 3, "events": [{"top": False, "size": 2}]},
+     "malformed wiring document: event 0 must be a (top, size) pair of ints: (False, 2)"),
+    # so events are checked in order: event 1's bool top is never reached
+    ({"kind": "wiring", "wires": 3, "events": [{"top": 2, "size": 2}, {"top": True, "size": 2}]},
+     "event 0 covers positions 2..3 on 3 wires"),
 ])
 @pytest.mark.parametrize("command", ["mobius", "fpoly", "faces", "verify"])
 def test_refusal_messages(tmp_path, command, doc, message):

@@ -164,6 +164,18 @@ class TestArrangement:
             Arrangement(dim, rows)
         assert str(info.value) == f"ambient dimension must be an int: {dim!r}"
 
+    # no coercion: a mapping is no list of its keys, nor a set a row in the order it iterates
+    @pytest.mark.parametrize("rows, message", [
+        (None, "rows must be a list or tuple: None"),
+        ({(1, 2): 0}, "rows must be a list or tuple: {(1, 2): 0}"),
+        ([{1: "a", 2: "b"}], "hyperplane 0 must be a list or tuple: {1: 'a', 2: 'b'}"),
+        ([{2, 1}], "hyperplane 0 must be a list or tuple: {1, 2}"),
+    ])
+    def test_rows_must_be_lists_or_tuples(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            Arrangement(1, rows)
+        assert str(info.value) == message
+
 
 class TestIntersect:
     def test_empty_support_gives_whole_space(self, axes):

@@ -454,7 +454,9 @@ def test_scaling_a_hyperplane_changes_nothing(A, num, negate):
 @given(wiring_diagrams())
 @settings(max_examples=80, deadline=None)
 def test_sweep_agrees_with_lattice(w):
-    assert list(sweep_f_vector(w)) == f_vector_from_semilattice(lattice_from_wiring(w))
+    L = lattice_from_wiring(w)
+    assert_maximal_rule(L)
+    assert list(sweep_f_vector(w)) == f_vector_from_semilattice(L)
 
 
 @given(wiring_diagrams())
@@ -502,10 +504,21 @@ def test_wiring_events_are_int_pairs_through_json(wires, crossings, seed):
         assert type(e) is tuple and len(e) == 2 and all(type(v) is int for v in e), e
 
 
+def assert_maximal_rule(L):
+    """Validation marks as maximal the flats with no given successor and
+    counts the strict pairs over the other flats' rows: both must read the
+    same off the whole order."""
+    ids = L.ids()
+    assert maximal_flats(L) == {x for x in ids if L.above(x) == [x]}
+    assert L._strict == sum(len(L.above(x)) for x in ids) - len(ids)
+
+
 def assert_same_order_by_id(L):
     """L, built by position, equals its document read back through the id
     route; documents carry no supports, so the flats are compared without."""
     R = semilattice_from_json(semilattice_to_json(L))
+    assert_maximal_rule(L)
+    assert_maximal_rule(R)
     assert (R._order, R._above, R._maximal, R._strict, R._ranks) == (
         L._order, L._above, L._maximal, L._strict, L._ranks)
     assert flats_by_id(R) == {x: f._replace(support=None) for x, f in flats_by_id(L).items()}
@@ -739,7 +752,7 @@ def check_against_brute_force(relation):
         return False
     assert failure is None and meets
     event("meet-semilattice")
-    assert maximal_flats(L) == {x for x in flats if L.above(x) == [x]}
+    assert_maximal_rule(L)
 
     def by_rank(zs):
         return sorted(zs, key=lambda z: (ambient - dims[z], z))
@@ -789,6 +802,9 @@ def check_against_brute_force(relation):
 # lines 2 and 3 on plane 1 meet in points 4 and 5: the one failing pair of
 # covers lies above plane 1, not above the minimum
 @example((3, [3, 2, 1, 1, 0, 0], [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]))
+# every order pair given, (1, 3) twice, and reflexive pairs on the plane and
+# on both maximal flats: point 3 and line 4 have no successor all the same
+@example((2, [2, 1, 1, 0, 1], [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (1, 3), (0, 0), (3, 3), (4, 4)]))
 @settings(max_examples=600, deadline=None)
 def test_validation_and_mobius_match_brute_force(relation):
     check_against_brute_force(relation)

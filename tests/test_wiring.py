@@ -68,6 +68,26 @@ class TestValidate:
             diagram(3, (1, 2), event)
         assert str(info.value) == f"event 1 must be a (top, size) pair of ints: {event!r}"
 
+    # a two-wire event inside the wires takes one combined test; any other
+    # event is checked for its size first, then for its range
+    @pytest.mark.parametrize("event, fault, message", [
+        ((-1, 2), OutOfRange, "event 0 covers positions -1..0 on 3 wires"),
+        ((2, 2), OutOfRange, "event 0 covers positions 2..3 on 3 wires"),
+        ((-1, 1), OutOfRange, "event 0 has size 1, need at least 2"),
+        ((True, 2), ValueError, "event 0 must be a (top, size) pair of ints: (True, 2)"),
+    ])
+    def test_two_wire_event_check_order(self, event, fault, message):
+        with pytest.raises(fault) as info:
+            diagram(3, event)
+        assert str(info.value) == message
+
+    # no coercion: a mapping is no list of its keys, nor is an iterator
+    @pytest.mark.parametrize("events", [None, 5, iter([(0, 2)]), {(0, 2): 1}])
+    def test_events_must_be_a_list_or_tuple(self, events):
+        with pytest.raises(ValueError) as info:
+            WiringDiagram(3, events)
+        assert str(info.value) == f"events must be a list or tuple: {events!r}"
+
     def test_pair_crossing_twice(self):
         with pytest.raises(RepeatedCrossing):
             diagram(2, (0, 2), (0, 2))
