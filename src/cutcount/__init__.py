@@ -23,8 +23,6 @@ from .exactgeom import (
     arrangement_from_json,
     arrangement_to_json,
     build_lattice,
-    intersect,
-    parse_rational,
 )
 from .faces import (
     enumerate_faces,
@@ -37,13 +35,11 @@ from .poset import (
     f_from_mobius,
     mobius_polynomial,
     semilattice_from_json,
-    validate_semilattice,
 )
 from .wiring import (
     WiringDiagram,
     lattice_from_wiring,
     sweep_f_vector,
-    validate_wiring,
     wiring_from_json,
     wiring_to_json,
 )

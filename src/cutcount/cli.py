@@ -86,7 +86,7 @@ def cmd_fpoly(args) -> int:
     kind, payload = load_document(args.file)
     L = _lattice_of(kind, payload)
     M = mobius_polynomial(L)
-    print(json.dumps(f_from_mobius(M, L.rank).to_json()))
+    print(json.dumps(f_from_mobius(M).to_json()))
     return 0
 
 
@@ -96,7 +96,7 @@ def cmd_faces(args) -> int:
         raise UnsupportedKind("abstract semilattices carry no face oracle")
     if kind == "hyperplanes":
         records = enumerate_faces(payload, cap=args.cap)
-        print(json.dumps(faces_to_json(payload, records)))
+        print(json.dumps(faces_to_json(records)))
     else:
         f0, f1, f2 = sweep_f_vector(payload)
         print(json.dumps({"f_vector": [f0, f1, f2]}))
@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
         direct = list(sweep_f_vector(payload))
     L = _lattice_of(kind, payload)
     M = mobius_polynomial(L)
-    fpoly = f_from_mobius(M, L.rank)
+    fpoly = f_from_mobius(M)
     n = L.ambient_dim
     theorem = [fpoly.coefficient(n - i) for i in range(n + 1)]
     match = theorem == direct

@@ -217,11 +217,11 @@ def _step(planes, start, direction, signs) -> tuple[tuple[int, ...], int]:
 
 def _walk_faces(A: Arrangement, cap: int):
     """Iterator of (signs, dim, witness) for every face, in 0 < + < - branch
-    order; both budgets, the plane cap and then MAX_AMBIENT_DIM, are checked
-    before anything is allocated. A face is relatively open in its flat, so
-    that flat is where the hyperplanes of its zero entries meet, and has
-    dimension dim. The witness (X, D) is the point X / D of the face, X
-    integer and D > 0.
+    order; both budgets, the plane cap (an int, else ValueError) and then
+    MAX_AMBIENT_DIM, are checked before anything is allocated. A face is
+    relatively open in its flat, so that flat is where the hyperplanes of
+    its zero entries meet, and has dimension dim. The witness (X, D) is the
+    point X / D of the face, X integer and D > 0.
 
     Depth first over hyperplanes in input order. Each stacked partial face
     F, relatively open in its flat, carries a witness w: an exact point of F.
@@ -235,6 +235,8 @@ def _walk_faces(A: Arrangement, cap: int):
     Witnesses are integer vectors over a common denominator, and every
     step is sized by an exact ratio test, so no comparison is inexact.
     """
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an int: {cap!r}")
     m = len(A.rows)
     if m > cap:
         raise CapExceeded(f"{m} hyperplanes exceeds the cap of {cap}; raise the cap to proceed")
@@ -312,9 +314,9 @@ def f_vector_oracle(A: Arrangement, cap: int = DEFAULT_CAP) -> list[int]:
     return f
 
 
-def faces_to_json(A: Arrangement, records: list[tuple[tuple[int, ...], int, int]]) -> dict:
-    """Report document: f-vector plus one entry per (signs, dim, flat id) face."""
-    f = [0] * (A.ambient_dim + 1)
+def faces_to_json(records: list[tuple[tuple[int, ...], int, int]]) -> dict:
+    """Report document: f-vector, up to the largest face dim, plus each (signs, dim, flat id) face."""
+    f = [0] * (1 + max((dim for _, dim, _ in records), default=-1))
     for _, dim, _ in records:
         f[dim] += 1
     return {

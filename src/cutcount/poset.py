@@ -110,10 +110,12 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     flat at position i has id `ids[i]`, rank `ranks[i]`, support
     `supports[i]` (the bitmask of the hyperplanes containing it, or None
     when `supports` is), and lies below its given successors, the flats at
-    the positions in `succ[i]`.
+    the positions in `succ[i]`. Ranks are ints, successors int positions,
+    and a falsy `succ[i]` is read as no successor: these are not checked.
 
-    Raises ValueError on an ambient_dim that is not an int, NoMinimum on no
-    flat, CapExceeded on more than MAX_FLATS, RankViolation when ranks fall
+    Raises ValueError on an ambient_dim that is not an int, or a truthy
+    `succ[i]` that is not a list, tuple or range, NoMinimum on no flat,
+    CapExceeded on more than MAX_FLATS, RankViolation when ranks fall
     along the positions or pass ambient_dim or a successor's does not rise,
     and UnknownFlat on a successor outside 0..F-1. As every successor rises,
     so does every chain: the order has no cycle, dimensions strictly
@@ -182,9 +184,13 @@ def validate_semilattice(ambient_dim: int, ranks, succ, ids, supports=None) -> S
     ends = {r: bisect_right(ranks, r) for r in dict.fromkeys(ranks)}
     non_maximal = [*compress(range(size), succ)]
     for y in reversed(non_maximal):
+        entry = succ[y]
+        # the meet check walks the entry again, so a one-shot iterator would pass it unseen
+        if type(entry) not in (list, tuple, range):
+            raise ValueError(f"successors of position {y} must be a list, tuple or range: {type(entry).__name__}")
         end = ends[ranks[y]]
         row = above[y]
-        for b in succ[y]:
+        for b in entry:
             if not end <= b < size:
                 fault = RankViolation if 0 <= b < size else UnknownFlat
                 raise fault(f"successor {b} of position {y} is not a position of larger rank")
@@ -408,16 +414,18 @@ def mobius_polynomial(L: Semilattice) -> BiPolynomial:
     return BiPolynomial(terms)
 
 
-def f_from_mobius(M: BiPolynomial, rk_arrangement: int) -> BiPolynomial:
-    """Face polynomial from a Möbius polynomial: (-1)^rk * M(-x, -1).
+def f_from_mobius(M: BiPolynomial) -> BiPolynomial:
+    """Face polynomial from a Möbius polynomial: (-1)^rk * M(-x, -1), where rk,
+    the lattice rank, is M's largest x-degree (mu(X, X) = 1 on each top flat).
 
     The result must have nonnegative coefficients; a negative one proves the
     input was not the Möbius polynomial of an arrangement lattice and raises
     NegativeCoefficient instead of returning silently.
     """
+    rk = max(M.terms, default=(0, 0))[0]
     terms: dict[tuple[int, int], int] = {}
     for (a, b), c in M.terms.items():
-        sign = -1 if (a + b + rk_arrangement) % 2 else 1
+        sign = -1 if (a + b + rk) % 2 else 1
         key = (a, 0)
         terms[key] = terms.get(key, 0) + sign * c
     poly = BiPolynomial(terms)

@@ -268,10 +268,10 @@ def maximal_flats(L) -> set[int]:
 def f_vector_from_semilattice(L) -> list[int]:
     """Face counts (f_0, ..., f_n) read off the semilattice alone.
 
-    f_i is the coefficient of x^(n - i) in f_from_mobius(mobius_polynomial(L),
-    L.rank), so a negative count raises NegativeCoefficient here too.
+    f_i is the coefficient of x^(n - i) in f_from_mobius(mobius_polynomial(L)),
+    so a negative count raises NegativeCoefficient here too.
     """
-    f = f_from_mobius(mobius_polynomial(L), L.rank)
+    f = f_from_mobius(mobius_polynomial(L))
     n = L.ambient_dim
     return [f.coefficient(n - i) for i in range(n + 1)]
 

@@ -39,7 +39,7 @@ def realizable_batch():
         count = 2 + seed % 5
         A = generate_arrangement(dim, count, 5, seed)
         L = build_lattice(A)
-        f = f_from_mobius(mobius_polynomial(L), L.rank)
+        f = f_from_mobius(mobius_polynomial(L))
         theorem = [f.coefficient(dim - i) for i in range(dim + 1)]
         direct = f_vector_oracle(A)
         instances.append((A, L, direct, theorem))
@@ -82,9 +82,9 @@ def _timed(fn):
 def test_criterion_1_printed_example_transform():
     M = BiPolynomial({(2, 0): 5, (0, 2): 1, (1, 1): 9, (1, 0): -11, (0, 1): -9, (0, 0): 6})
     best = min(
-        _timed(lambda: f_from_mobius(M, 2))[1] for _ in range(200)
+        _timed(lambda: f_from_mobius(M))[1] for _ in range(200)
     )
-    f = f_from_mobius(M, 2)
+    f = f_from_mobius(M)
     exact = f.terms == {(2, 0): 5, (1, 0): 20, (0, 0): 16}
     report(1, exact and best < 0.001,
            f"transform gives {f} in {best * 1e6:.0f}us (need 5x^2 + 20x + 16, < 1ms)")

@@ -455,7 +455,7 @@ class TestBadInput:
         mu = {(i, i): 1 for i in range(301)} | {(i, i + 1): -1 for i in range(300)}
         M = mobius_sum(mu, {i: i for i in range(301)})
         path = self.chain(tmp_path, 301)
-        for command, poly in (("mobius", M), ("fpoly", f_from_mobius(M, 300))):
+        for command, poly in (("mobius", M), ("fpoly", f_from_mobius(M))):
             assert run_in_process([command, path]) == (0, json.dumps(poly.to_json()) + "\n", "")
 
     def test_largest_ambient_dimension_enumerated(self, tmp_path):

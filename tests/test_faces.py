@@ -176,6 +176,14 @@ class TestEnumerate:
             enumerate_faces(axes, cap=1)
         assert len(enumerate_faces(axes, cap=2)) == 9
 
+    # no coercion: the cap is an int, checked before the planes are counted
+    @pytest.mark.parametrize("cap", [2.5, True, None, "3"], ids=["float", "bool", "None", "str"])
+    def test_cap_must_be_an_int(self, axes, cap):
+        for oracle in (enumerate_faces, f_vector_oracle):
+            with pytest.raises(ValueError) as info:
+                oracle(axes, cap=cap)
+            assert str(info.value) == f"cap must be an int: {cap!r}"
+
     @pytest.mark.parametrize("A, message", [
         (lines(*[(1, 0, k) for k in range(DEFAULT_CAP + 1)]), "^13 hyperplanes exceeds the cap of 12;"),
         (Arrangement(MAX_AMBIENT_DIM + 1, []), "^ambient dimension 65 exceeds the face oracle's limit"),
@@ -250,7 +258,11 @@ class TestChambers:
 
 class TestJson:
     def test_axes_report(self, axes):
-        doc = faces_to_json(axes, enumerate_faces(axes))
+        doc = faces_to_json(enumerate_faces(axes))
         assert doc["f_vector"] == [1, 4, 4]
         assert doc["faces"][0] == {"signs": "00", "dim": 0, "flat": 3}
         assert len(doc["faces"]) == 9
+
+    def test_no_faces(self):
+        # the f-vector runs to the largest face dimension, so no face gives none
+        assert faces_to_json([]) == {"f_vector": [], "faces": []}

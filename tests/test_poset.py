@@ -277,6 +277,27 @@ class TestPositionForm:
             validate_semilattice(dim, [0, 1], [[1], []], range(2))
         assert str(info.value) == f"ambient dimension must be an int: {dim!r}"
 
+    # the meet check walks each successor entry a second time, so an entry
+    # that can be read only once is refused; the message names its type, as
+    # an iterator's repr holds an address
+    @pytest.mark.parametrize("succ, message", [
+        # two points on two lines, which as lists raise MissingMeet (an
+        # @example of test_validation_and_mobius_match_brute_force)
+        ([iter(s) for s in [[1, 2], [3, 4], [3, 4], [], []]],
+         "successors of position 4 must be a list, tuple or range: list_iterator"),
+        # an empty iterator is truthy, so it is checked as well
+        ([[1, 2], [3, 4], [3, 4], iter([]), []],
+         "successors of position 3 must be a list, tuple or range: list_iterator"),
+        ([[1, 2], {3: 0, 4: 0}, [3, 4], [], []],
+         "successors of position 1 must be a list, tuple or range: dict"),
+        ([[1, 2], [3, 4], {3, 4}, [], []],
+         "successors of position 2 must be a list, tuple or range: set"),
+    ], ids=["iterators", "empty-iterator", "dict", "set"])
+    def test_successors_must_be_sequences(self, succ, message):
+        with pytest.raises(ValueError) as info:
+            validate_semilattice(2, [0, 1, 1, 2, 2], succ, range(5))
+        assert str(info.value) == message
+
     # ids are checked once, when the id map is first built
     @pytest.mark.parametrize("ids, message", [
         ([0, True], "flat id must be an int: True"),
@@ -378,7 +399,7 @@ class TestMobiusPolynomial:
             pairs += [(i, n + 1 + i) for i in lines]
         M = mobius_polynomial(make(2, dims, pairs))
         assert str(M) == mobius_text
-        assert str(f_from_mobius(M, 2)) == f_text
+        assert str(f_from_mobius(M)) == f_text
 
     # maximal flats away from the top rank, or at the minimum itself: the pass
     # counts them per rank and gives none of them a unit column of its own
@@ -407,15 +428,19 @@ class TestMobiusPolynomial:
 class TestFFromMobius:
     def test_printed_example(self):
         M = BiPolynomial({(2, 0): 5, (0, 2): 1, (1, 1): 9, (1, 0): -11, (0, 1): -9, (0, 0): 6})
-        f = f_from_mobius(M, 2)
+        f = f_from_mobius(M)
         assert str(f) == "5x^2 + 20x + 16"
         assert f.terms == {(2, 0): 5, (1, 0): 20, (0, 0): 16}
 
     def test_constant_one(self):
-        assert f_from_mobius(constant(1), 0).terms == {(0, 0): 1}
+        assert f_from_mobius(constant(1)).terms == {(0, 0): 1}
+
+    def test_zero_polynomial(self):
+        # rk is read off M's largest x-degree; with no term there is nothing to sign
+        assert str(f_from_mobius(BiPolynomial())) == "0"
 
     def test_axes(self, axes):
-        f = f_from_mobius(mobius_polynomial(axes), axes.rank)
+        f = f_from_mobius(mobius_polynomial(axes))
         assert str(f) == "x^2 + 4x + 4"
 
     def test_negative_coefficient_rejected(self):
@@ -423,7 +448,7 @@ class TestFFromMobius:
         # but not the lattice of any arrangement
         L = make(2, [2, 0, 0], [(0, 1), (0, 2)])
         with pytest.raises(NegativeCoefficient):
-            f_from_mobius(mobius_polynomial(L), L.rank)
+            f_from_mobius(mobius_polynomial(L))
         with pytest.raises(NegativeCoefficient):
             f_vector_from_semilattice(L)
         with pytest.raises(NegativeCoefficient):
@@ -442,7 +467,7 @@ class TestFVector:
 
     def test_agrees_with_transform(self, axes, concurrent):
         for L in (axes, concurrent):
-            f = f_from_mobius(mobius_polynomial(L), L.rank)
+            f = f_from_mobius(mobius_polynomial(L))
             vec = f_vector_from_semilattice(L)
             assert all(f.coefficient(L.ambient_dim - i) == vec[i] for i in range(len(vec)))
 

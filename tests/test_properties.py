@@ -141,7 +141,7 @@ def wiring_diagrams(draw, max_wires=6, max_events=8):
 @settings(max_examples=60, deadline=None)
 def test_oracle_agrees_with_transform(A):
     L = build_lattice(A)
-    f = f_from_mobius(mobius_polynomial(L), L.rank)
+    f = f_from_mobius(mobius_polynomial(L))
     direct = f_vector_oracle(A)
     assert [f.coefficient(2 - i) for i in range(3)] == direct
     assert f_vector_from_semilattice(L) == direct
@@ -178,7 +178,7 @@ def test_space_walk_equals_exhaustive_search_and_mobius(A):
     brute = [s for s in product((0, 1, -1), repeat=len(A.rows)) if feasible(A, s)]
     assert walked == brute
     L = build_lattice(A)
-    f = f_from_mobius(mobius_polynomial(L), L.rank)
+    f = f_from_mobius(mobius_polynomial(L))
     direct = f_vector_oracle(A)
     assert [f.coefficient(3 - i) for i in range(4)] == direct
     assert f_vector_from_semilattice(L) == direct
@@ -239,7 +239,7 @@ def test_faces_document_names_one_flat_per_zero_set(A):
     # zero sets distinct flats; each flat of the lattice is named, with its dimension
     L = build_lattice(A)
     by_id = flats_by_id(L)
-    doc = faces_to_json(A, enumerate_faces(A))
+    doc = faces_to_json(enumerate_faces(A))
     flat_of = {}
     for face in doc["faces"]:
         zero = frozenset(j for j, c in enumerate(face["signs"]) if c == "0")
@@ -456,6 +456,7 @@ def test_scaling_a_hyperplane_changes_nothing(A, num, negate):
 def test_sweep_agrees_with_lattice(w):
     L = lattice_from_wiring(w)
     assert_maximal_rule(L)
+    assert_rank_is_top_degree(L)
     assert list(sweep_f_vector(w)) == f_vector_from_semilattice(L)
 
 
@@ -513,11 +514,21 @@ def assert_maximal_rule(L):
     assert L._strict == sum(len(L.above(x)) for x in ids) - len(ids)
 
 
+def assert_rank_is_top_degree(L):
+    """f_from_mobius reads the rank off M alone: M's largest x-degree is
+    L.rank, and its x^rk y^0 coefficient, a sum of mu(X, X) = 1, counts the
+    flats of rank rk."""
+    M = mobius_polynomial(L)
+    assert max(a for a, _ in M.terms) == L.rank
+    assert M.coefficient(L.rank, 0) == L._ranks.count(L.rank) > 0
+
+
 def assert_same_order_by_id(L):
     """L, built by position, equals its document read back through the id
     route; documents carry no supports, so the flats are compared without."""
     R = semilattice_from_json(semilattice_to_json(L))
     assert_maximal_rule(L)
+    assert_rank_is_top_degree(L)
     assert_maximal_rule(R)
     assert (R._order, R._above, R._maximal, R._strict, R._ranks) == (
         L._order, L._above, L._maximal, L._strict, L._ranks)
@@ -753,6 +764,7 @@ def check_against_brute_force(relation):
     assert failure is None and meets
     event("meet-semilattice")
     assert_maximal_rule(L)
+    assert_rank_is_top_degree(L)
 
     def by_rank(zs):
         return sorted(zs, key=lambda z: (ambient - dims[z], z))

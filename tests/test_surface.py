@@ -25,10 +25,9 @@ def test_public_surface():
         "RepeatedCrossing", "Semilattice", "UnknownFlat", "UnsupportedKind", "WiringDiagram",
         "arrangement_from_json", "arrangement_to_json", "build_lattice",
         "enumerate_faces", "f_from_mobius",
-        "f_vector_oracle", "faces_to_json", "intersect", "lattice_from_wiring",
-        "mobius_polynomial", "parse_rational", "semilattice_from_json",
-        "sweep_f_vector", "validate_semilattice",
-        "validate_wiring", "wiring_from_json", "wiring_to_json",
+        "f_vector_oracle", "faces_to_json", "lattice_from_wiring",
+        "mobius_polynomial", "semilattice_from_json",
+        "sweep_f_vector", "wiring_from_json", "wiring_to_json",
     ]
 
 
