@@ -12,8 +12,10 @@ that cuts the face splits it by one rule, from a point of the face on the
 hyperplane (the witness, or one elimination's point) and a direction
 across it, so a node costs at most one feasibility call. Each face lives
 in the chart of its flat, where the hyperplanes of its zero entries meet;
-a hyperplane contains the flat exactly when its chart row is zero, and the
-chart of a cut flat is extended from its parent's, which keeps it.
+a hyperplane contains the flat exactly when its chart row is zero. Only the
+root chart, the whole space's, is read off an echelon system; each cut chart
+is one elimination in its parent's coordinates, and the parent keeps it, so
+the walk shares no elimination with the lattice.
 An elimination stage over MAX_FM_ROWS rows raises CapExceeded.
 """
 
@@ -23,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import CapExceeded, FlatNotInLattice
-from .exactgeom import Arrangement, _extend, _primitive, _reduce, build_lattice, intersect
+from .exactgeom import Arrangement, build_lattice, intersect
 
 DEFAULT_CAP = 12
 # the oracle's reports hold a count per dimension; larger spaces are refused
@@ -45,6 +47,12 @@ def _dot(u, v):
     return sum(map(mul, u, v))
 
 
+def _coprime(v) -> tuple[int, ...]:
+    # an integer vector over the gcd of its entries; the zero vector stays itself
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
     # homogeneous point X / D with D > 0, common factors removed
     g = gcd(*X, D)
@@ -52,52 +60,69 @@ def _reduced(X, D: int) -> tuple[tuple[int, ...], int]:
 
 
 class _Chart:
-    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k.
+    """Integer coordinates on one flat: x = origin / scale + sum_k t_k basis_k,
+    with scale > 0, origin and scale coprime, and each basis vector primitive.
 
-    Read off the flat's echelon system: `scale` is the lcm of the pivot
-    entries, and each free column gives one primitive integer direction.
-    A hyperplane's row in these coordinates, and the chart where the
+    The root chart is read off the flat's echelon system (`read`); every
+    other chart is cut from its parent by one elimination (`cut`). A
+    hyperplane's row in these coordinates, and the chart where the
     hyperplane cuts the flat, are computed the first time they are asked
     for, and kept.
     """
 
-    __slots__ = ("system", "origin", "scale", "basis", "rows", "cuts")
+    __slots__ = ("origin", "scale", "basis", "rows", "cuts")
 
-    def __init__(self, system, n: int) -> None:
-        self.system = system
-        self.scale = lcm(*(e[p] for p, e in system))
+    def __init__(self, origin: tuple[int, ...], scale: int, basis: list[tuple[int, ...]]) -> None:
+        self.origin, self.scale, self.basis = origin, scale, basis
+        self.rows: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.cuts: dict[int, _Chart | None] = {}
+
+    @classmethod
+    def read(cls, system, n: int) -> _Chart:
+        """The chart of the flat with echelon system `system` in R^n: scale is
+        the lcm of the pivot entries, one direction per free column."""
+        scale = lcm(*(e[p] for p, e in system))
         # row r of `scaled` has pivot entry `scale`: x[p] = (r[n] - sum_c r[c] x[c]) / scale
-        scaled = {p: [v * (self.scale // e[p]) for v in e] for p, e in system}
-        self.origin = tuple(scaled[c][n] if c in scaled else 0 for c in range(n))
-        self.basis = []
+        scaled = {p: [v * (scale // e[p]) for v in e] for p, e in system}
+        origin = tuple(scaled[c][n] if c in scaled else 0 for c in range(n))
+        basis = []
         for c in range(n):
             if c not in scaled:
                 v = [-scaled[p][c] if p in scaled else 0 for p in range(n)]
-                v[c] = self.scale
-                self.basis.append(_primitive(v))
-        self.rows: dict[int, tuple[int, ...]] = {}
-        self.cuts: dict[int, _Chart | None] = {}
+                v[c] = scale
+                basis.append(_coprime(v))
+        return cls(origin, scale, basis)
 
-    def row(self, j: int, plane: tuple[int, ...]) -> tuple[int, ...]:
-        """Row (c..., r) with normal . x > offset exactly when c . t > r,
-        for hyperplane j with integer row `plane`."""
-        row = self.rows.get(j)
-        if row is None:
-            row = _primitive((
+    def row(self, j: int, plane: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Hyperplane j's row (c..., r), with integer row `plane`, signed by
+        side: [s] for s = 1 (also [0]) is the row with normal . x > offset
+        exactly when c . t > r, and [-1] is its negation, for normal . x < offset."""
+        signed = self.rows.get(j)
+        if signed is None:
+            row = _coprime((
                 *(self.scale * _dot(plane, b) for b in self.basis),
                 plane[-1] * self.scale - _dot(plane, self.origin),
             ))
-            self.rows[j] = row
-        return row
+            signed = self.rows[j] = (row, row, tuple(-v for v in row))
+        return signed
 
     def cut(self, i: int, plane: tuple[int, ...]) -> _Chart | None:
         """Chart where hyperplane i, with integer row `plane` and not
-        containing the flat, cuts it: the system gains the plane reduced
-        against it. None when the plane is parallel to the flat."""
+        containing the flat, cuts it; None when the plane is parallel to it.
+        Its row c . t = r, signed so that its first nonzero c_q is positive,
+        is solved for t_q: the origin moves by (r / c_q) basis_q, and basis_k
+        becomes c_q basis_k - c_k basis_q for k != q. So a cut of a chart
+        `read` gives has the origin point and basis `read` gives its flat."""
         if i not in self.cuts:
             cut = None
-            if any(self.row(i, plane)[:-1]):
-                cut = _Chart(_extend(self.system, _reduce(self.system, plane)), len(self.origin))
+            signed = self.row(i, plane)
+            q = next((k for k, ck in enumerate(signed[0][:-1]) if ck), None)
+            if q is not None:
+                *c, r = signed[0] if signed[0][q] > 0 else signed[-1]
+                bq, sr = self.basis[q], self.scale * r
+                cut = _Chart(*_reduced([c[q] * o + sr * b for o, b in zip(self.origin, bq)], c[q] * self.scale),
+                             [_coprime([c[q] * x - ck * y for x, y in zip(b, bq)])
+                              for k, (ck, b) in enumerate(zip(c, self.basis)) if k != q])
             self.cuts[i] = cut
         return self.cuts[i]
 
@@ -253,7 +278,7 @@ def _faces(A: Arrangement):
     is the whole space, which every arrangement has; each chart keeps the
     charts its hyperplanes cut, so a cut is built once per parent."""
     n, planes = A.ambient_dim, A.rows
-    stack = [((), _Chart(intersect(A, ()), n), ((0,) * n, 1))]
+    stack = [((), _Chart.read(intersect(A, ()), n), ((0,) * n, 1))]
     while stack:
         signs, chart, w = stack.pop()
         i = len(signs)
@@ -262,7 +287,7 @@ def _faces(A: Arrangement):
             continue
         plane = planes[i]
         X, D = w
-        if not any(chart.row(i, plane)):
+        if not any(chart.row(i, plane)[0]):
             cut, children = chart, ((0, w),)
         else:
             cut = chart.cut(i, plane)
@@ -270,8 +295,7 @@ def _faces(A: Arrangement):
             p = w if value == 0 else None
             if p is None and cut is not None:
                 # a point of the cut strictly on side signs[j] of every hyperplane j with a nonzero sign
-                rows = [row if s > 0 else tuple(-v for v in row)
-                        for j, s in enumerate(signs) if s for row in [cut.row(j, planes[j])]]
+                rows = [cut.row(j, planes[j])[s] for j, s in enumerate(signs) if s]
                 t = _fm_point(rows, len(cut.basis))
                 p = cut.point(*t) if t else None
             if p is None:

@@ -399,8 +399,8 @@ def feasible(A, signs: tuple[int, ...]) -> bool:
     system = intersect(A, [j for j, s in enumerate(signs) if s == 0])
     if system is None:
         return False
-    chart = _Chart(system, A.ambient_dim)
-    rows = [tuple(s * v for v in chart.row(j, A.rows[j])) for j, s in enumerate(signs) if s]
+    chart = _Chart.read(system, A.ambient_dim)
+    rows = [tuple(s * v for v in chart.row(j, A.rows[j])[0]) for j, s in enumerate(signs) if s]
     return fm_point(rows, len(chart.basis)) is not None
 
 
@@ -431,8 +431,8 @@ def traces(A, X):
     hyperplanes containing X are dropped, the rest rewritten in X's integer
     chart coordinates, and hyperplanes meeting X in the same set collapse
     to one."""
-    chart = _Chart(X.system, A.ambient_dim)
-    rows = (chart.row(j, row) for j, row in enumerate(A.rows) if j not in X.support)
+    chart = _Chart.read(X.system, A.ambient_dim)
+    rows = (chart.row(j, row)[0] for j, row in enumerate(A.rows) if j not in X.support)
     # a row without coefficients is parallel to X: its trace is empty
     planes = dict.fromkeys(canonical_row(row) for row in rows if any(row[:-1]))
     return Arrangement(X.dim, list(planes))

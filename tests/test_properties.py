@@ -3,6 +3,7 @@
 import re
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import gcd
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -255,19 +256,36 @@ def test_faces_document_names_one_flat_per_zero_set(A):
 @example(Arrangement(3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)]))
 @settings(max_examples=150, deadline=None)
 def test_cut_charts_equal_intersect(A):
-    # the walk extends each cut chart from its parent; intersect builds it from scratch.
-    # Depth first from the root chart, over every plane whose chart row is nonzero
+    # the walk cuts each chart from its parent by one elimination; intersect builds
+    # the flat's echelon system from scratch. Depth first from the root chart, over
+    # every plane whose chart row is nonzero, the cut must be a chart of that flat:
+    # every equation holds at origin / scale and vanishes on each basis vector, and
+    # the basis has full rank n - len(system). It must be kept coprime (scale > 0,
+    # gcd(origin, scale) = 1, primitive basis vectors), and it is the chart read off
+    # the system: the same point and the same basis. Each row is kept with its negation
     n, planes = A.ambient_dim, A.rows
-    stack = [(frozenset(), _Chart(intersect(A, ()), n))]
+    stack = [(frozenset(), _Chart.read(intersect(A, ()), n))]
     while stack:
         cuts, chart = stack.pop()
         for i, plane in enumerate(planes):
-            if not any(chart.row(i, plane)):
+            signed = chart.row(i, plane)
+            assert signed[0] == signed[1] and signed[-1] == tuple(-v for v in signed[1]), signed
+            if not any(signed[0]):
                 continue
             cut, system = chart.cut(i, plane), intersect(A, cuts | {i})
             assert (cut is None) == (system is None), sorted(cuts | {i})
             if cut is not None:
-                assert cut.system == system, sorted(cuts | {i})
+                where = sorted(cuts | {i})
+                for _, (*a, b) in system:
+                    assert sum(x * y for x, y in zip(a, cut.origin)) == b * cut.scale, where
+                    assert not any(sum(x * y for x, y in zip(a, v)) for v in cut.basis), where
+                assert len(cut.basis) == n - len(system), where
+                assert rref([[F(x) for x in v] for v in cut.basis])[1] == len(cut.basis), where
+                assert cut.scale > 0 and gcd(*cut.origin, cut.scale) == 1, where
+                assert all(gcd(*v) == 1 for v in cut.basis), where
+                read = _Chart.read(system, n)
+                assert [F(x, cut.scale) for x in cut.origin] == [F(x, read.scale) for x in read.origin], where
+                assert cut.basis == read.basis, where
                 stack.append((cuts | {i}, cut))
 
 
@@ -408,7 +426,7 @@ def test_restrict_matches_upper_set_and_pulls_back(A):
         assert f_vector_from_semilattice(R) == f_vector_from_semilattice(U)
         if X.dim == 0:
             continue  # the restriction to a point is that point, in no chart
-        chart, B = _Chart(X.system, A.ambient_dim), traces(A, X)
+        chart, B = _Chart.read(X.system, A.ambient_dim), traces(A, X)
         by_support = {by_id[y].support: by_id[y] for y in L.above(x)}
         restricted = flats_by_id(R)
         images = []
